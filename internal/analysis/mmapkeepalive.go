@@ -19,8 +19,9 @@ import (
 // running query (use-after-munmap).
 //
 // The owner type is recognized structurally: a struct with off, hubs and
-// dists slice fields plus an mm mapping field (label.Index; pathidx.Index
-// lacks mm and is exempt — it is always heap-backed). Functions that
+// dists slice fields plus an mm mapping field (label.Index). There is
+// no exempt owner: pathidx.Index wraps an always heap-built label.Index
+// and still pins it after reading its Label runs. Functions that
 // allocate the owner themselves (composite literal) are exempt: a
 // just-built owner cannot have a registered finalizer while the
 // allocating function still runs.

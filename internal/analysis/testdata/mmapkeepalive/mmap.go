@@ -103,7 +103,7 @@ func ignoredOK(x *Index) Dist {
 
 // kernel takes plain slices — no owner fields, so derefs inside are
 // exempt regardless of what the slices alias. Pinning is the caller's
-// contract, exactly like label.mergeRuns.
+// contract, as for any plain-slice helper.
 func kernel(ah []Vertex, ad []Dist, bh []Vertex, bd []Dist) Dist {
 	best := Dist(0)
 	i, j := 0, 0

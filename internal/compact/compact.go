@@ -319,8 +319,9 @@ func Open(opt Options) (*Pipeline, error) {
 }
 
 // loop is the background compactor: it waits for threshold kicks and
-// runs one compaction per kick. Errors are logged, not fatal — the WAL
-// keeps absorbing updates and the next kick retries.
+// runs one compaction per kick whose backlog still meets the threshold.
+// Errors are logged, not fatal — the WAL keeps absorbing updates and the
+// next kick retries.
 func (p *Pipeline) loop() {
 	defer close(p.doneC)
 	for {
@@ -328,6 +329,13 @@ func (p *Pipeline) loop() {
 		case <-p.stopC:
 			return
 		case <-p.kickC:
+			// Update counts records a running compaction is still folding,
+			// so a kick queued during one can outlive its reason: once that
+			// compaction truncates the WAL, only its small tail remains.
+			// Re-check the backlog instead of folding that tail.
+			if p.log.Len() < p.opt.CompactEvery {
+				continue
+			}
 			if _, err := p.Compact(); err != nil {
 				p.opt.Logf("compact: background compaction failed: %v", err)
 			}

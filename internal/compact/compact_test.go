@@ -9,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"parapll/internal/core"
 	"parapll/internal/dynamic"
 	"parapll/internal/graph"
 	"parapll/internal/sssp"
+	"parapll/internal/task"
 	"parapll/internal/wal"
 )
 
@@ -268,6 +270,78 @@ func TestAutoCompactionTriggers(t *testing.T) {
 	}
 	if !published.Load() {
 		t.Fatal("OnPublish not called")
+	}
+	checkAllPairs(t, applied(base, ups), p)
+}
+
+// hookEngine is core.PerRoot with a hook that runs at the start of
+// every build, so a test can act while a rebuild is in flight.
+type hookEngine struct {
+	core.PerRoot
+	during func()
+}
+
+func (e hookEngine) Run(g *graph.Graph, mgr task.Manager, store core.LabelStore, cfg core.RunConfig) []int64 {
+	e.during()
+	return e.PerRoot.Run(g, mgr, store, cfg)
+}
+
+// TestBackgroundCompactionSkipsStaleKick streams updates through
+// rebuild-mode background compactions. One update lands mid-rebuild;
+// Update still counts the records being folded, so it queues a kick
+// that outlives the compaction. Every background compaction must fold
+// at least CompactEvery records — the stale kick must not fold the
+// one-record tail on its own.
+func TestBackgroundCompactionSkipsStaleKick(t *testing.T) {
+	const every = 6
+	r := rand.New(rand.NewSource(89))
+	base := randomGraph(r, 24, 24)
+	ups := randomInserts(r, 24, 2*every)
+	reports := make(chan Report, len(ups))
+	var p *Pipeline
+	var injected atomic.Bool
+	engine := hookEngine{during: func() {
+		if injected.Swap(true) {
+			return
+		}
+		if err := p.Update(ups[every].U, ups[every].V, ups[every].W); err != nil {
+			t.Errorf("mid-rebuild update: %v", err)
+		}
+	}}
+	p, err := Open(Options{
+		Dir: t.TempDir(), Graph: base, Index: core.Build(base, core.Options{Threads: 1}),
+		CompactEvery: every, FoldLimit: -1, Threads: 1, Engine: engine,
+		OnPublish: func(rep Report) { reports <- rep },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for _, up := range ups[:every] {
+		if err := p.Update(up.U, up.V, up.W); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.After(10 * time.Second)
+	for folded := 0; folded < len(ups); {
+		select {
+		case rep := <-reports:
+			if rep.Mode != "rebuild" || rep.Folded < every {
+				t.Fatalf("background compaction %+v: want a rebuild of >= %d records", rep, every)
+			}
+			if folded == 0 {
+				// The backlog is now the mid-rebuild record; these bring
+				// it to exactly CompactEvery.
+				for _, up := range ups[every+1:] {
+					if err := p.Update(up.U, up.V, up.W); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			folded += rep.Folded
+		case <-deadline:
+			t.Fatal("background compactions did not fold every update")
+		}
 	}
 	checkAllPairs(t, applied(base, ups), p)
 }

@@ -138,28 +138,8 @@ func sortEntries(l []label.Entry) {
 // Query returns the exact directed distance d(s→t), graph.Inf when t is
 // unreachable from s. Note Query(s,t) and Query(t,s) generally differ.
 func (x *Index) Query(s, t graph.Vertex) graph.Dist {
-	if s == t {
-		return 0
-	}
-	a := x.out[s] // hubs s reaches
-	b := x.in[t]  // hubs reaching t
-	best := graph.Inf
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Hub < b[j].Hub:
-			i++
-		case a[i].Hub > b[j].Hub:
-			j++
-		default:
-			if d := graph.AddDist(a[i].D, b[j].D); d < best {
-				best = d
-			}
-			i++
-			j++
-		}
-	}
-	return best
+	d, _ := x.QueryWithHub(s, t)
+	return d
 }
 
 // QueryWithHub is Query but also reports the meeting hub achieving the
@@ -169,27 +149,8 @@ func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 	if s == t {
 		return 0, s
 	}
-	a := x.out[s]
-	b := x.in[t]
-	best := graph.Inf
-	hub := graph.Vertex(-1)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Hub < b[j].Hub:
-			i++
-		case a[i].Hub > b[j].Hub:
-			j++
-		default:
-			if d := graph.AddDist(a[i].D, b[j].D); d < best {
-				best = d
-				hub = a[i].Hub
-			}
-			i++
-			j++
-		}
-	}
-	return best, hub
+	// Hubs s reaches meet hubs reaching t.
+	return label.MergeEntries(x.out[s], x.in[t])
 }
 
 // QueryBatch answers many directed (s,t) pairs in parallel (threads <= 0

@@ -159,27 +159,8 @@ func (x *Index) neighbors(v graph.Vertex, visit func(u graph.Vertex, w graph.Dis
 
 // Query returns the exact current distance between s and t.
 func (x *Index) Query(s, t graph.Vertex) graph.Dist {
-	if s == t {
-		return 0
-	}
-	a, b := x.lists[s], x.lists[t]
-	best := graph.Inf
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Hub < b[j].Hub:
-			i++
-		case a[i].Hub > b[j].Hub:
-			j++
-		default:
-			if d := graph.AddDist(a[i].D, b[j].D); d < best {
-				best = d
-			}
-			i++
-			j++
-		}
-	}
-	return best
+	d, _ := x.QueryWithHub(s, t)
+	return d
 }
 
 // QueryWithHub is Query but also reports the meeting hub achieving the
@@ -189,26 +170,7 @@ func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 	if s == t {
 		return 0, s
 	}
-	a, b := x.lists[s], x.lists[t]
-	best := graph.Inf
-	hub := graph.Vertex(-1)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Hub < b[j].Hub:
-			i++
-		case a[i].Hub > b[j].Hub:
-			j++
-		default:
-			if d := graph.AddDist(a[i].D, b[j].D); d < best {
-				best = d
-				hub = a[i].Hub
-			}
-			i++
-			j++
-		}
-	}
-	return best, hub
+	return label.MergeEntries(x.lists[s], x.lists[t])
 }
 
 // QueryBatch answers many (s,t) pairs in parallel (threads <= 0 means

@@ -7,10 +7,10 @@ import (
 	"parapll/internal/graph"
 )
 
-// TestExplainMatchesQueryRandomized is the lockstep contract between
-// explain.go and merge.go: over randomized indexes (including strongly
-// asymmetric labels that trigger the gallop path) QueryExplain must
-// return exactly Query's distance and QueryWithHub's meeting hub.
+// TestExplainMatchesQueryRandomized: over randomized indexes (including
+// strongly asymmetric labels that trigger the gallop path) QueryExplain
+// must return exactly Query's distance and QueryWithHub's meeting hub,
+// and counters consistent with the strategy it reports.
 func TestExplainMatchesQueryRandomized(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {

@@ -20,6 +20,7 @@ import (
 
 	"parapll/internal/core"
 	"parapll/internal/graph"
+	"parapll/internal/label"
 	"parapll/internal/task"
 	"parapll/internal/vheap"
 )
@@ -41,12 +42,13 @@ type Options struct {
 	Order []graph.Vertex
 }
 
-// Index answers exact distance and path queries.
+// Index answers exact distance and path queries: the hub labels live
+// in a label.Index, so distance queries run the same merge kernel as
+// the plain index, and parents holds each entry's predecessor aligned
+// with the label runs.
 type Index struct {
-	off     []int64
-	hubs    []graph.Vertex
-	dists   []graph.Dist
-	parents []graph.Vertex
+	idx     *label.Index
+	parents [][]graph.Vertex // parents[v][i] belongs to the i-th entry of idx.Label(v)
 }
 
 // pstore is the concurrent label store for path entries: the same
@@ -204,9 +206,8 @@ func (ps *searcher) run(r graph.Vertex, store *pstore) {
 }
 
 func finalize(store *pstore, n int) *Index {
-	x := &Index{off: make([]int64, n+1)}
-	lists := make([][]Entry, n)
-	total := 0
+	lists := make([][]label.Entry, n)
+	parents := make([][]graph.Vertex, n)
 	for v := 0; v < n; v++ {
 		snap := store.snapshot(graph.Vertex(v))
 		list := make([]Entry, len(snap))
@@ -224,90 +225,53 @@ func finalize(store *pstore, n int) *Index {
 			}
 			out = append(out, e)
 		}
-		lists[v] = out
-		total += len(out)
-		x.off[v+1] = int64(total)
-	}
-	x.hubs = make([]graph.Vertex, total)
-	x.dists = make([]graph.Dist, total)
-	x.parents = make([]graph.Vertex, total)
-	pos := 0
-	for _, l := range lists {
-		for _, e := range l {
-			x.hubs[pos], x.dists[pos], x.parents[pos] = e.Hub, e.D, e.Parent
-			pos++
+		// The rows are hub-sorted and duplicate-free, so the label.Index
+		// keeps their order and parents stays aligned with its runs.
+		row := make([]label.Entry, len(out))
+		par := make([]graph.Vertex, len(out))
+		for i, e := range out {
+			row[i] = label.Entry{Hub: e.Hub, D: e.D}
+			par[i] = e.Parent
 		}
+		lists[v], parents[v] = row, par
 	}
-	return x
+	return &Index{idx: label.NewIndexFromLists(lists), parents: parents}
 }
 
 // NumVertices returns the number of labeled vertices.
-func (x *Index) NumVertices() int { return len(x.off) - 1 }
+func (x *Index) NumVertices() int { return x.idx.NumVertices() }
 
 // NumEntries returns the total number of label entries.
-func (x *Index) NumEntries() int64 { return x.off[len(x.off)-1] }
-
-func (x *Index) label(v graph.Vertex) (hubs []graph.Vertex, dists []graph.Dist) {
-	lo, hi := x.off[v], x.off[v+1]
-	return x.hubs[lo:hi], x.dists[lo:hi]
-}
+func (x *Index) NumEntries() int64 { return x.idx.NumEntries() }
 
 // entryFor finds v's entry for the given hub by binary search.
 func (x *Index) entryFor(v, hub graph.Vertex) (Entry, bool) {
-	lo, hi := x.off[v], x.off[v+1]
-	hubs := x.hubs[lo:hi]
+	hubs, dists := x.idx.Label(v)
 	i := sort.Search(len(hubs), func(i int) bool { return hubs[i] >= hub })
-	if i == len(hubs) || hubs[i] != hub {
-		return Entry{}, false
+	var e Entry
+	found := i < len(hubs) && hubs[i] == hub
+	if found {
+		e = Entry{Hub: hub, D: dists[i], Parent: x.parents[v][i]}
 	}
-	return Entry{Hub: hub, D: x.dists[lo+int64(i)], Parent: x.parents[lo+int64(i)]}, true
+	runtime.KeepAlive(x)
+	return e, found
 }
 
 // Query returns the exact distance between s and t (graph.Inf if
 // disconnected).
-func (x *Index) Query(s, t graph.Vertex) graph.Dist {
-	d, _ := x.queryHub(s, t)
-	return d
-}
-
-func (x *Index) queryHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
-	if s == t {
-		return 0, s
-	}
-	sh, sd := x.label(s)
-	th, td := x.label(t)
-	best := graph.Inf
-	hub := graph.Vertex(-1)
-	i, j := 0, 0
-	for i < len(sh) && j < len(th) {
-		switch {
-		case sh[i] < th[j]:
-			i++
-		case sh[i] > th[j]:
-			j++
-		default:
-			if d := graph.AddDist(sd[i], td[j]); d < best {
-				best = d
-				hub = sh[i]
-			}
-			i++
-			j++
-		}
-	}
-	return best, hub
-}
+func (x *Index) Query(s, t graph.Vertex) graph.Dist { return x.idx.Query(s, t) }
 
 // QueryWithHub is Query but also reports the meeting hub achieving the
 // minimum; hub is -1 for disconnected pairs, and (0, s) is returned
 // for s == t.
 func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
-	return x.queryHub(s, t)
+	return x.idx.QueryWithHub(s, t)
 }
 
 // QueryBatch answers many (s,t) pairs in parallel (threads <= 0 means
 // GOMAXPROCS). The index is immutable, so no synchronization is needed.
 func (x *Index) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
-	return graph.BatchQuery(x.Query, pairs, threads)
+	return x.idx.QueryBatch(pairs, threads)
 }
 
 // Path returns the vertex sequence of a shortest path from s to t and
@@ -318,7 +282,7 @@ func (x *Index) Path(s, t graph.Vertex) ([]graph.Vertex, graph.Dist) {
 	if s == t {
 		return []graph.Vertex{s}, 0
 	}
-	d, hub := x.queryHub(s, t)
+	d, hub := x.idx.QueryWithHub(s, t)
 	if hub < 0 {
 		return nil, graph.Inf
 	}

@@ -58,7 +58,8 @@ type (
 	// distance queries.
 	Index = label.Index
 	// Explain is the cost-attribution record Index.QueryExplain returns:
-	// the same answer as Query, plus where the merge's work went.
+	// the answer of the one merge kernel behind Query, QueryWithHub and
+	// QueryBatch, plus the work that kernel counted and its timing.
 	Explain = label.Explain
 	// PathIndex is a path-augmented index that also reconstructs the
 	// shortest path itself (see BuildPathIndex).

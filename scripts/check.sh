@@ -45,6 +45,12 @@ go test -race -short ./...
 echo "== go test ./... (tier-1)"
 go test ./...
 
+# Benchmark module: perfbench/ is its own Go module (replace parapll =>
+# ../), so `go build ./...` above never compiles it and a root API change
+# could break the benchmark silently. Vet it and run its short tests.
+echo "== perfbench module (go vet + go test -short)"
+(cd perfbench && go vet ./... && go test -short ./...)
+
 # Fuzz smoke: a few seconds on each wire decoder keeps the targets
 # compiling and catches shallow regressions; long runs stay manual
 # (go test -fuzz=... -fuzztime=10m ./internal/...).
