@@ -1,12 +1,15 @@
 // parapll-index runs the indexing stage: it loads a graph, builds the
 // 2-hop-cover label index (serially or with the parallel ParaPLL engine)
-// and writes the index to disk for parapll-query.
+// and writes the index to disk for parapll-query. The -out extension
+// picks the format: ".cidx" writes the compact varint-delta encoding for
+// shipping between machines, anything else the mmap-native format that
+// parapll-server opens zero-copy.
 //
 // Usage:
 //
 //	parapll-index -graph data/skitter.bin -out skitter.idx -threads 12 -policy dynamic
 //	parapll-index -graph g.txt -out g.idx -serial
-//	parapll-index -graph g.bin -out g.idx -format mmap    # zero-copy serving format
+//	parapll-index -graph g.bin -out g.cidx                # compact, for shipping
 //	parapll-index -graph g.bin -out g.idx -engine batched # vertex-centric batched engine
 //	parapll-index -graph g.bin -out g.idx -v              # live roots/s + ETA
 //	parapll-index -graph g.bin -out g.idx -trace t.json   # build timeline (Perfetto)
@@ -24,7 +27,7 @@ import (
 func main() {
 	var (
 		graphPath = flag.String("graph", "", "input graph file (.bin/.txt/.edges/.gr)")
-		out       = flag.String("out", "", "output index file")
+		out       = flag.String("out", "", "output index file (.cidx = compact, else mmap-native)")
 		threads   = flag.Int("threads", 0, "worker threads (0 = all cores)")
 		policy    = flag.String("policy", "dynamic", "assignment policy: static or dynamic")
 		ordering  = flag.String("order", "degree", "computing sequence: degree, psi or random")
@@ -32,7 +35,6 @@ func main() {
 		engine    = flag.String("engine", "perroot", "build engine: perroot (one pruned Dijkstra per root) or batched (vertex-centric root batches)")
 		batch     = flag.Int("batch", 0, "batched engine's roots per frontier, 1-64 (0 = default 8)")
 		serial    = flag.Bool("serial", false, "use the serial weighted PLL baseline")
-		format    = flag.String("format", "auto", "index file format: fixed, compact, mmap, or auto (by -out extension)")
 		verbose   = flag.Bool("v", false, "report live progress (roots/sec, ETA) every 2s on stderr")
 		tracePath = flag.String("trace", "", "record a build timeline and write Chrome trace-event JSON here (open in chrome://tracing or Perfetto)")
 	)
@@ -42,11 +44,6 @@ func main() {
 	}
 	if *serial && *tracePath != "" {
 		fatalf("-trace instruments the parallel engine; drop -serial")
-	}
-	switch *format {
-	case "auto", parapll.FormatFixed, parapll.FormatCompact, parapll.FormatMmap:
-	default:
-		fatalf("unknown format %q (want fixed, compact, mmap or auto)", *format)
 	}
 
 	g, err := parapll.LoadGraph(*graphPath)
@@ -114,12 +111,7 @@ func main() {
 		fmt.Printf("trace: %d events (%d dropped) -> %s\n", len(tr.Events()), tr.Drops(), *tracePath)
 	}
 
-	if *format == "auto" {
-		err = parapll.SaveIndex(*out, idx)
-	} else {
-		err = parapll.SaveIndexAs(*out, idx, *format)
-	}
-	if err != nil {
+	if err := parapll.SaveIndex(*out, idx); err != nil {
 		fatalf("saving index: %v", err)
 	}
 	fmt.Printf("indexed n=%d m=%d in %.2fs  (entries=%d, avg label size LN=%.1f) -> %s\n",

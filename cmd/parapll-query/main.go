@@ -60,6 +60,11 @@ func main() {
 	if err != nil {
 		fatalf("loading index: %v", err)
 	}
+	// A mapped index opens in O(1) and defers its section checksums;
+	// check every byte once before answering from it.
+	if err := loaded.Verify(); err != nil {
+		fatalf("verifying index: %v", err)
+	}
 	// Everything below queries through the Oracle interface — the code
 	// is identical whether the index is heap-decoded or mmap-backed.
 	var idx parapll.Oracle = loaded

@@ -75,7 +75,7 @@ func TestEndToEndCLI(t *testing.T) {
 
 	// An mmap-native copy of the same index, for the hot-reload leg.
 	midxPath := filepath.Join(dir, "gnutella.midx")
-	out = run("parapll-index", "-graph", graphPath, "-out", midxPath, "-format", "mmap", "-threads", "2")
+	out = run("parapll-index", "-graph", graphPath, "-out", midxPath, "-threads", "2")
 	if !strings.Contains(out, "indexed") {
 		t.Fatalf("mmap index output unexpected: %s", out)
 	}

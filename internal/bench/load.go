@@ -16,12 +16,13 @@ import (
 )
 
 // LoadResult is one load+serve measurement: an index saved in one of
-// the three on-disk formats, then opened cold and queried. The point of
-// the experiment is the OpenMillis column: heap-decoding formats grow
-// linearly with entry count while the mmap-native format stays flat
-// (O(1) open — the arrays alias the page cache). QueryMicros shows the
-// serving cost is the same either way, and Identical confirms every
-// format answers bit-identically to the in-memory index it came from.
+// the two on-disk formats, then opened cold and queried. The point of
+// the experiment is the OpenMillis column: the heap-decoding compact
+// format grows linearly with entry count while the mmap-native format
+// stays flat (O(1) open — the arrays alias the page cache). QueryMicros
+// shows the serving cost is the same either way, and Identical confirms
+// every format answers bit-identically to the in-memory index it came
+// from.
 type LoadResult struct {
 	Dataset  string `json:"dataset"`
 	Vertices int    `json:"vertices"`
@@ -38,14 +39,14 @@ type LoadResult struct {
 	Identical bool `json:"answers_identical"`
 }
 
-// loadFormats is the sweep order: the two decode formats, then mmap.
-var loadFormats = []string{label.FormatFixed, label.FormatCompact, label.FormatMmap}
+// loadFormats is the sweep order: the decode format, then mmap.
+var loadFormats = []string{label.FormatCompact, label.FormatMmap}
 
 // RunLoad benchmarks index load+serve across on-disk formats: for every
-// dataset in cfg, build an index, save it in fixed, compact and
-// mmap-native form, then time a cold open and a random query pass for
-// each, verifying answers against the built index. Returns the
-// rendered table plus raw records for JSON output.
+// dataset in cfg, build an index, save it in compact and mmap-native
+// form, then time a cold open and a random query pass for each,
+// verifying answers against the built index. Returns the rendered table
+// plus raw records for JSON output.
 func RunLoad(cfg Config) (*Table, []LoadResult, error) {
 	recs, err := cfg.recipes()
 	if err != nil {

@@ -103,17 +103,13 @@ func isTextGraph(path string) bool {
 }
 
 // FormatForPath returns the index format SaveIndex picks for path by
-// extension: ".cidx" selects the compact varint-delta encoding, ".midx"
-// the mmap-native format, anything else fixed-width.
+// extension: ".cidx" selects the compact varint-delta encoding, anything
+// else the mmap-native format.
 func FormatForPath(path string) string {
-	switch {
-	case strings.HasSuffix(path, ".cidx"):
+	if strings.HasSuffix(path, ".cidx") {
 		return label.FormatCompact
-	case strings.HasSuffix(path, ".midx"):
-		return label.FormatMmap
-	default:
-		return label.FormatFixed
 	}
+	return label.FormatMmap
 }
 
 // SaveIndex writes a finalized 2-hop index to path in the format
@@ -122,23 +118,21 @@ func SaveIndex(path string, x *label.Index) error {
 	return SaveIndexAs(path, x, FormatForPath(path))
 }
 
-// SaveIndexAs writes the index in an explicit format: label.FormatFixed
-// (checksummed fixed-width), label.FormatCompact (varint-delta, 2–4x
-// smaller), or label.FormatMmap (section-aligned, opens zero-copy via
-// LoadIndex/label.Open). Loading always sniffs the content, so any
-// format may live under any extension.
+// SaveIndexAs writes the index in an explicit format:
+// label.FormatCompact (varint-delta, 2–4x smaller) or label.FormatMmap
+// (section-aligned, opens zero-copy via LoadIndex/label.Open). Loading
+// always sniffs the content, so either format may live under any
+// extension.
 func SaveIndexAs(path string, x *label.Index, format string) error {
 	var write func(*os.File) error
 	switch format {
-	case label.FormatFixed:
-		write = func(f *os.File) error { return x.Write(f) }
 	case label.FormatCompact:
 		write = func(f *os.File) error { return x.WriteCompact(f) }
 	case label.FormatMmap:
 		write = func(f *os.File) error { return x.WriteMmap(f) }
 	default:
-		return fmt.Errorf("fileio: unknown index format %q (want %s, %s or %s)",
-			format, label.FormatFixed, label.FormatCompact, label.FormatMmap)
+		return fmt.Errorf("fileio: unknown index format %q (want %s or %s)",
+			format, label.FormatCompact, label.FormatMmap)
 	}
 	return WriteAtomic(path, write)
 }
@@ -146,8 +140,9 @@ func SaveIndexAs(path string, x *label.Index, format string) error {
 // LoadIndex reads an index written by SaveIndex in any format,
 // dispatching on the file's magic bytes rather than its extension.
 // Mmap-native files open zero-copy (label.Open): O(1) start-up with the
-// arrays aliasing the page cache. The other formats heap-decode with
-// full checksum verification.
+// arrays aliasing the page cache; Index.Verify runs the deferred
+// section checksums. Compact files heap-decode with full checksum
+// verification.
 func LoadIndex(path string) (*label.Index, error) {
 	x, err := label.OpenAny(path)
 	if err != nil {

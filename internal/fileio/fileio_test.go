@@ -1,9 +1,11 @@
 package fileio
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"parapll/internal/graph"
@@ -51,20 +53,38 @@ func TestLoadDIMACS(t *testing.T) {
 	}
 }
 
+// TestIndexRoundTrip saves through SaveIndex under every extension
+// class: ".cidx" picks compact, anything else (".idx", ".midx", an
+// unknown suffix) the mmap-native format, which opens as a real mapping
+// where the platform has one.
 func TestIndexRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	g := testGraph()
-	x := pll.Build(g, pll.Options{})
-	path := filepath.Join(dir, "g.idx")
-	if err := SaveIndex(path, x); err != nil {
-		t.Fatal(err)
-	}
-	y, err := LoadIndex(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !x.Equal(y) {
-		t.Fatal("index round trip changed index")
+	x := pll.Build(testGraph(), pll.Options{})
+	for _, tc := range []struct{ name, format string }{
+		{"g.idx", label.FormatMmap},
+		{"g.midx", label.FormatMmap},
+		{"g.cidx", label.FormatCompact},
+		{"g.whatever", label.FormatMmap},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := SaveIndex(path, x); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		y, err := LoadIndex(path)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !x.Equal(y) {
+			t.Fatalf("%s: round trip changed index", tc.name)
+		}
+		if y.Format() != tc.format {
+			t.Fatalf("%s: Format() = %q, want %q", tc.name, y.Format(), tc.format)
+		}
+		mapPlatform := runtime.GOOS == "linux" || runtime.GOOS == "darwin"
+		if tc.format == label.FormatMmap && mapPlatform && !y.Mapped() {
+			t.Fatalf("%s: mmap-native index did not open as a mapping", tc.name)
+		}
+		y.Close()
 	}
 }
 
@@ -72,9 +92,9 @@ func TestCompactIndexExtension(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraph()
 	x := pll.Build(g, pll.Options{})
-	fixed := filepath.Join(dir, "g.idx")
+	mmapPath := filepath.Join(dir, "g.idx")
 	compact := filepath.Join(dir, "g.cidx")
-	if err := SaveIndex(fixed, x); err != nil {
+	if err := SaveIndex(mmapPath, x); err != nil {
 		t.Fatal(err)
 	}
 	if err := SaveIndex(compact, x); err != nil {
@@ -87,26 +107,29 @@ func TestCompactIndexExtension(t *testing.T) {
 	if !x.Equal(y) {
 		t.Fatal("compact extension round trip changed index")
 	}
-	fi, _ := os.Stat(fixed)
+	mi, _ := os.Stat(mmapPath)
 	ci, _ := os.Stat(compact)
-	if ci.Size() >= fi.Size() {
-		t.Fatalf("compact file %d bytes >= fixed %d bytes", ci.Size(), fi.Size())
+	if ci.Size() >= mi.Size() {
+		t.Fatalf("compact file %d bytes >= mmap-native %d bytes", ci.Size(), mi.Size())
 	}
-	// Loading dispatches on content, not extension: a fixed-format file
-	// renamed to .cidx must load transparently (the pre-ReadAny format
-	// gap), not misparse.
+	// Loading dispatches on content, not extension: a PIDM file renamed
+	// to .cidx must load transparently, not misparse.
 	renamed := filepath.Join(dir, "renamed.cidx")
-	data, _ := os.ReadFile(fixed)
+	data, _ := os.ReadFile(mmapPath)
 	if err := os.WriteFile(renamed, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	z, err := LoadIndex(renamed)
 	if err != nil {
-		t.Fatalf("fixed payload under .cidx: %v", err)
+		t.Fatalf("PIDM payload under .cidx: %v", err)
 	}
 	if !x.Equal(z) {
-		t.Fatal("fixed payload under .cidx loaded wrong")
+		t.Fatal("PIDM payload under .cidx loaded wrong")
 	}
+	if z.Format() != label.FormatMmap {
+		t.Fatalf("PIDM payload under .cidx: Format() = %q", z.Format())
+	}
+	z.Close()
 }
 
 func TestLoadMissingFile(t *testing.T) {
@@ -118,14 +141,40 @@ func TestLoadMissingFile(t *testing.T) {
 	}
 }
 
+// TestLoadCorruptIndex: every malformed artifact is an error from
+// LoadIndex, never a panic or an accepted index — including a file from
+// the retired fixed-width writer, whose magic no reader recognizes.
 func TestLoadCorruptIndex(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.idx")
-	if err := os.WriteFile(path, []byte("not an index"), 0o644); err != nil {
+	good := filepath.Join(dir, "good.idx")
+	if err := SaveIndex(good, pll.Build(testGraph(), pll.Options{})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadIndex(path); err == nil {
-		t.Fatal("corrupt index accepted")
+	pidm, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The retired format's magic and version, then an all-zero header.
+	legacy := append([]byte{'P', 'I', 'D', 'X', 1, 0, 0, 0}, make([]byte, 24)...)
+	flipped := bytes.Clone(pidm)
+	flipped[9] ^= 0x01 // inside n; the header CRC no longer matches
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"junk", []byte("not an index")},
+		{"retired-fixed-width-magic", legacy},
+		{"truncated-pidm", pidm[:len(pidm)-1]},
+		{"flipped-pidm-header", flipped},
+	} {
+		path := filepath.Join(dir, tc.name+".idx")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if y, err := LoadIndex(path); err == nil {
+			y.Close()
+			t.Fatalf("%s: corrupt index accepted", tc.name)
+		}
 	}
 }
 

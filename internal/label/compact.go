@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"runtime"
 
 	"parapll/internal/graph"
@@ -13,10 +14,10 @@ import (
 
 // Compact on-disk index format ("PIDC"): hubs are sorted per vertex, so
 // they delta-encode as small varints, and most distances are small too.
-// On typical indexes this is 2–4x smaller than the fixed-width format at
-// slightly higher encode/decode cost — the right trade for shipping
-// indexes between the indexing and querying stages across machines,
-// which is exactly what the paper's cluster deployment does.
+// On typical indexes this is 2–4x smaller than the fixed-width PIDM
+// format at slightly higher encode/decode cost — the right trade for
+// shipping indexes between the indexing and querying stages across
+// machines, which is exactly what the paper's cluster deployment does.
 
 const compactMagic = "PIDC"
 const compactVersion = 1
@@ -67,7 +68,9 @@ func (x *Index) WriteCompact(w io.Writer) error {
 }
 
 // ReadCompact deserializes an index written by WriteCompact, verifying
-// the checksum and structural invariants (sorted, in-range hubs).
+// the checksum and structural invariants (sorted, in-range hubs). A
+// corrupt header or hub delta is an error, never a panic or an
+// allocation sized by the claim.
 func ReadCompact(r io.Reader) (*Index, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	crc := crc32.NewIEEE()
@@ -86,11 +89,15 @@ func ReadCompact(r io.Reader) (*Index, error) {
 	if v := binary.LittleEndian.Uint32(hdr[0:4]); v != compactVersion {
 		return nil, fmt.Errorf("label: unsupported compact version %d", v)
 	}
-	n := int(binary.LittleEndian.Uint64(hdr[4:12]))
-	if n < 0 {
-		return nil, fmt.Errorf("label: corrupt vertex count")
+	// Bounded like parsePIDM, and never allocated up front: off grows
+	// one vertex at a time, so memory follows the bytes actually read
+	// rather than the header's claim.
+	nv := binary.LittleEndian.Uint64(hdr[4:12])
+	if nv > math.MaxInt32 {
+		return nil, fmt.Errorf("label: compact: vertex count %d overflows", nv)
 	}
-	x := &Index{off: make([]int64, n+1), format: FormatCompact}
+	n := int(nv)
+	x := &Index{off: []int64{0}, format: FormatCompact}
 	for v := 0; v < n; v++ {
 		count, err := binary.ReadUvarint(tr)
 		if err != nil {
@@ -102,10 +109,12 @@ func ReadCompact(r io.Reader) (*Index, error) {
 			if err != nil {
 				return nil, err
 			}
-			hub := prev + 1 + int64(dh)
-			if hub >= int64(n) {
-				return nil, fmt.Errorf("label: vertex %d: hub %d out of range", v, hub)
+			// hub = prev+1+dh must stay below n; compare before adding,
+			// since a huge dh would wrap the sum negative.
+			if dh >= uint64(int64(n)-1-prev) {
+				return nil, fmt.Errorf("label: vertex %d: hub delta %d past vertex count %d", v, dh, n)
 			}
+			hub := prev + 1 + int64(dh)
 			prev = hub
 			d, err := binary.ReadUvarint(tr)
 			if err != nil {
@@ -117,7 +126,7 @@ func ReadCompact(r io.Reader) (*Index, error) {
 			x.hubs = append(x.hubs, graph.Vertex(hub))
 			x.dists = append(x.dists, graph.Dist(d))
 		}
-		x.off[v+1] = int64(len(x.hubs))
+		x.off = append(x.off, int64(len(x.hubs)))
 	}
 	want := crc.Sum32()
 	var sum [4]byte

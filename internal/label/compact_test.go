@@ -2,6 +2,8 @@ package label
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -56,16 +58,16 @@ func TestCompactRoundTrip(t *testing.T) {
 func TestCompactSmallerThanFixed(t *testing.T) {
 	x := randomIndex(3, 500, 30)
 	var fixed, compact bytes.Buffer
-	if err := x.Write(&fixed); err != nil {
+	if err := x.WriteMmap(&fixed); err != nil {
 		t.Fatal(err)
 	}
 	if err := x.WriteCompact(&compact); err != nil {
 		t.Fatal(err)
 	}
 	if compact.Len() >= fixed.Len() {
-		t.Fatalf("compact %d bytes >= fixed %d bytes", compact.Len(), fixed.Len())
+		t.Fatalf("compact %d bytes >= fixed-width PIDM %d bytes", compact.Len(), fixed.Len())
 	}
-	t.Logf("fixed %d bytes, compact %d bytes (%.1fx smaller)",
+	t.Logf("fixed-width PIDM %d bytes, compact %d bytes (%.1fx smaller)",
 		fixed.Len(), compact.Len(), float64(fixed.Len())/float64(compact.Len()))
 }
 
@@ -106,4 +108,34 @@ func TestCompactCorruption(t *testing.T) {
 	if _, err := ReadCompact(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty stream accepted")
 	}
+	// Crafted headers and deltas must be errors, not panics or accepted
+	// indexes: a vertex count of 2^62 once sized an up-front allocation,
+	// and a hub delta of 2^63+0x7fffffff once wrapped prev+1+dh to a
+	// negative hub that truncated to vertex 2147483647.
+	for name, data := range map[string][]byte{
+		"huge-vertex-count": craftCompact(1<<62, false),
+		"wrapping-hub-delta": craftCompact(2, true,
+			1, 1<<63+0x7fffffff, 0, // vertex 0: one entry
+			0), // vertex 1: no entries
+	} {
+		if y, err := ReadCompact(bytes.NewReader(data)); err == nil {
+			t.Fatalf("%s: accepted (n=%d, entries=%d)", name, y.NumVertices(), y.NumEntries())
+		}
+	}
+}
+
+// craftCompact assembles a PIDC stream by hand: the header claiming n
+// vertices, then body as raw uvarints, then (if sum) the CRC trailer a
+// genuine writer would append.
+func craftCompact(n uint64, sum bool, body ...uint64) []byte {
+	b := []byte(compactMagic)
+	b = binary.LittleEndian.AppendUint32(b, compactVersion)
+	b = binary.LittleEndian.AppendUint64(b, n)
+	for _, v := range body {
+		b = binary.AppendUvarint(b, v)
+	}
+	if sum {
+		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	}
+	return b
 }

@@ -11,7 +11,10 @@ import (
 	"parapll/internal/graph"
 )
 
-func seedPIDMFiles(tb testing.TB) [][]byte {
+// seedIndexFiles returns the fuzz seeds per format: the same small
+// indexes written by WriteMmap and by WriteCompact, truncations of
+// each, and inputs every reader must reject.
+func seedIndexFiles(tb testing.TB) (pidm, pidc [][]byte) {
 	lists := [][][]Entry{
 		{{}},
 		{{{Hub: 0, D: 0}}},
@@ -21,34 +24,44 @@ func seedPIDMFiles(tb testing.TB) [][]byte {
 			{{Hub: 0, D: 5}, {Hub: 2, D: 0}},
 		},
 	}
-	var files [][]byte
 	for _, l := range lists {
 		x := NewIndexFromLists(l)
-		var buf bytes.Buffer
-		if err := x.WriteMmap(&buf); err != nil {
+		var mm, c bytes.Buffer
+		if err := x.WriteMmap(&mm); err != nil {
 			tb.Fatalf("WriteMmap: %v", err)
 		}
-		files = append(files, buf.Bytes())
+		if err := x.WriteCompact(&c); err != nil {
+			tb.Fatalf("WriteCompact: %v", err)
+		}
+		pidm = append(pidm, mm.Bytes())
+		pidc = append(pidc, c.Bytes())
 	}
-	// Truncations and a bad magic: the parser's first hurdles.
-	if whole := files[len(files)-1]; len(whole) > 8 {
-		files = append(files, whole[:8], whole[:len(whole)-1])
+	// Truncations and a bad magic: the parsers' first hurdles.
+	truncate := func(files [][]byte) [][]byte {
+		whole := files[len(files)-1]
+		return append(files, whole[:8], whole[:len(whole)-1])
 	}
-	files = append(files, []byte("PIDXnope"), []byte{})
-	return files
+	pidm = append(truncate(pidm), []byte("nope"), []byte{})
+	// A header claiming 2^62 vertices, and a checksum-valid hub delta
+	// that wraps prev+1+dh negative (see TestCompactCorruption).
+	pidc = append(truncate(pidc), craftCompact(1<<62, false),
+		craftCompact(2, true, 1, 1<<63+0x7fffffff, 0, 0))
+	return pidm, pidc
 }
 
-// FuzzOpenPIDM drives the PIDM header/section parser (the same
-// parsePIDM/checksumPIDM/slicePIDM pipeline Open runs against a mapped
-// file) with arbitrary bytes. It must never panic, and any file it
+// FuzzReadAny drives the stream loader with arbitrary bytes, seeded
+// from both on-disk formats. It must never panic, and any file it
 // accepts must produce a structurally sound index: consistent label
-// rows and panic-free queries over every vertex.
-func FuzzOpenPIDM(f *testing.F) {
-	for _, data := range seedPIDMFiles(f) {
+// rows and panic-free queries over every vertex. A PIDC file must also
+// deliver what ReadCompact promises: strictly increasing hubs in
+// [0, n) and finite distances in every row.
+func FuzzReadAny(f *testing.F) {
+	pidm, pidc := seedIndexFiles(f)
+	for _, data := range append(pidm, pidc...) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		x, err := readPIDMStream(bytes.NewReader(data))
+		x, err := ReadAny(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -65,6 +78,17 @@ func FuzzOpenPIDM(f *testing.F) {
 			if len(hubs) != len(dists) {
 				t.Fatalf("vertex %d: %d hubs vs %d dists", v, len(hubs), len(dists))
 			}
+			if x.Format() != FormatCompact {
+				continue
+			}
+			for i, h := range hubs {
+				if h < 0 || int(h) >= n || (i > 0 && h <= hubs[i-1]) {
+					t.Fatalf("vertex %d: hub %d at position %d out of order or range [0,%d)", v, h, i, n)
+				}
+				if dists[i] >= graph.Inf {
+					t.Fatalf("vertex %d: hub %d: distance %d not below Inf", v, h, dists[i])
+				}
+			}
 		}
 		if n > 0 {
 			// Self-distance must be finite-or-Inf without panicking, and
@@ -75,23 +99,26 @@ func FuzzOpenPIDM(f *testing.F) {
 	})
 }
 
-// TestRegenFuzzCorpus writes the seed PIDM files as go-fuzz corpus
-// files under testdata/fuzz/FuzzOpenPIDM. It is a no-op unless
+// TestRegenFuzzCorpus writes the seed files as go-fuzz corpus files
+// under testdata/fuzz/FuzzReadAny. It is a no-op unless
 // PARAPLL_REGEN_CORPUS=1, so the checked-in corpus stays reproducible
-// from the writer instead of being hand-maintained hex.
+// from the writers instead of being hand-maintained hex.
 func TestRegenFuzzCorpus(t *testing.T) {
 	if os.Getenv("PARAPLL_REGEN_CORPUS") != "1" {
 		t.Skip("set PARAPLL_REGEN_CORPUS=1 to rewrite testdata/fuzz")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzOpenPIDM")
+	dir := filepath.Join("testdata", "fuzz", "FuzzReadAny")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for i, data := range seedPIDMFiles(t) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-		name := filepath.Join(dir, fmt.Sprintf("seed-pidm-%02d", i))
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
+	pidm, pidc := seedIndexFiles(t)
+	for prefix, files := range map[string][][]byte{"seed-pidm": pidm, "seed-pidc": pidc} {
+		for i, data := range files {
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+			name := filepath.Join(dir, fmt.Sprintf("%s-%02d", prefix, i))
+			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -38,7 +38,7 @@ type Index struct {
 
 // Format reports where this index came from: FormatMemory for indexes
 // built in process, else the on-disk format it was loaded from
-// (FormatFixed, FormatCompact or FormatMmap).
+// (FormatCompact or FormatMmap).
 func (x *Index) Format() string {
 	if x.format == "" {
 		return FormatMemory

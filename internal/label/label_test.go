@@ -1,7 +1,6 @@
 package label
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -238,47 +237,6 @@ func TestIndexRemapValidatesLength(t *testing.T) {
 		}
 	}()
 	NewIndex(NewStore(3)).Remap([]graph.Vertex{0})
-}
-
-func TestIndexIORoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	s := NewStore(50)
-	for i := 0; i < 500; i++ {
-		s.Append(graph.Vertex(r.Intn(50)), graph.Vertex(r.Intn(50)), graph.Dist(r.Intn(1000)))
-	}
-	x := NewIndex(s)
-	var buf bytes.Buffer
-	if err := x.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	y, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !x.Equal(y) {
-		t.Fatal("index IO round trip changed index")
-	}
-}
-
-func TestIndexIOCorruption(t *testing.T) {
-	s := NewStore(3)
-	s.Append(0, 1, 2)
-	x := NewIndex(s)
-	var buf bytes.Buffer
-	if err := x.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	b[len(b)-6] ^= 0x55
-	if _, err := ReadIndex(bytes.NewReader(b)); err == nil {
-		t.Fatal("corrupted index accepted")
-	}
-	if _, err := ReadIndex(bytes.NewReader([]byte("XXXX"))); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	if _, err := ReadIndex(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty stream accepted")
-	}
 }
 
 func BenchmarkStoreAppend(b *testing.B) {

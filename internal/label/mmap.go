@@ -346,7 +346,7 @@ func openMapping(mm *mapping) (*Index, error) {
 // readPIDMStream heap-loads a PIDM file from a reader (the ReadAny
 // path). Unlike Open it has already paid for reading every byte, so it
 // also verifies the section checksums, matching the guarantees of the
-// PIDX/PIDC stream readers.
+// PIDC stream reader.
 func readPIDMStream(r io.Reader) (*Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

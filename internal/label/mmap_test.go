@@ -204,7 +204,6 @@ func TestMmapSectionCorruptionDeferred(t *testing.T) {
 func TestReadAnySniffsAllFormats(t *testing.T) {
 	x := mmapTestIndex()
 	writers := map[string]func(*Index, *bytes.Buffer) error{
-		FormatFixed:   func(x *Index, b *bytes.Buffer) error { return x.Write(b) },
 		FormatCompact: func(x *Index, b *bytes.Buffer) error { return x.WriteCompact(b) },
 		FormatMmap:    func(x *Index, b *bytes.Buffer) error { return x.WriteMmap(b) },
 	}
@@ -235,12 +234,10 @@ func TestReadAnySniffsAllFormats(t *testing.T) {
 func TestOpenAnyZeroCopyOnlyForPIDM(t *testing.T) {
 	x := mmapTestIndex()
 	dir := t.TempDir()
-	for _, format := range []string{FormatFixed, FormatCompact, FormatMmap} {
+	for _, format := range []string{FormatCompact, FormatMmap} {
 		var buf bytes.Buffer
 		var err error
 		switch format {
-		case FormatFixed:
-			err = x.Write(&buf)
 		case FormatCompact:
 			err = x.WriteCompact(&buf)
 		case FormatMmap:
@@ -284,7 +281,7 @@ func mappedExpected() bool {
 
 // TestCrossFormatEquivalence is the property test behind the "any
 // format may live under any extension" contract: random indexes round
-// trip through all three formats and answer identically.
+// trip through both formats and answer identically.
 func TestCrossFormatEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -300,18 +297,15 @@ func TestCrossFormatEquivalence(t *testing.T) {
 		}
 		x := NewIndexFromLists(lists)
 
-		var fixed, compact, mm bytes.Buffer
-		if err := x.Write(&fixed); err != nil {
-			t.Fatal(err)
-		}
+		var compact, mm bytes.Buffer
 		if err := x.WriteCompact(&compact); err != nil {
 			t.Fatal(err)
 		}
 		if err := x.WriteMmap(&mm); err != nil {
 			t.Fatal(err)
 		}
-		ys := make([]*Index, 0, 3)
-		for _, buf := range []*bytes.Buffer{&fixed, &compact, &mm} {
+		ys := make([]*Index, 0, 2)
+		for _, buf := range []*bytes.Buffer{&compact, &mm} {
 			y, err := ReadAny(buf)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)

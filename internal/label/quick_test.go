@@ -102,28 +102,6 @@ func TestQuickCompactRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQuickFixedRoundTrip(t *testing.T) {
-	f := func(nRaw uint8, triples [][3]uint32) bool {
-		n := int(nRaw%40) + 1
-		x := arbitraryIndex(n, triples)
-		var buf bytes.Buffer
-		if err := x.Write(&buf); err != nil {
-			return false
-		}
-		y, err := ReadIndex(&buf)
-		if err != nil {
-			return false
-		}
-		if x.NumEntries() == 0 {
-			return y.NumEntries() == 0 && y.NumVertices() == x.NumVertices()
-		}
-		return x.Equal(y)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickDedupeKeepsMin: duplicates of the same (vertex,hub) collapse
 // to the minimum distance.
 func TestQuickDedupeKeepsMin(t *testing.T) {

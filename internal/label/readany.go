@@ -7,12 +7,9 @@ import (
 	"os"
 )
 
-// Canonical names of the three on-disk index formats, as reported by
-// Index.Format and accepted by fileio.SaveIndexAs / parapll-index
-// -format.
+// Canonical names of the two on-disk index formats, as reported by
+// Index.Format and accepted by fileio.SaveIndexAs.
 const (
-	// FormatFixed is the fixed-width checksummed format ("PIDX").
-	FormatFixed = "fixed"
 	// FormatCompact is the varint-delta compressed format ("PIDC").
 	FormatCompact = "compact"
 	// FormatMmap is the section-aligned mmap-native format ("PIDM").
@@ -21,11 +18,10 @@ const (
 	FormatMemory = "memory"
 )
 
-// ReadAny deserializes an index in any supported on-disk format,
-// dispatching on the leading magic bytes — callers no longer need to
-// know whether a file is PIDX, PIDC or PIDM. All three paths verify
-// checksums. For PIDM files on disk prefer OpenAny/Open, which map the
-// file instead of copying it.
+// ReadAny deserializes an index in either on-disk format, dispatching
+// on the leading magic bytes — callers need not know whether a file is
+// PIDC or PIDM. Both paths verify every checksum. For PIDM files on
+// disk prefer OpenAny/Open, which map the file instead of copying it.
 func ReadAny(r io.Reader) (*Index, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic, err := br.Peek(4)
@@ -33,20 +29,18 @@ func ReadAny(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("label: reading index magic: %w", err)
 	}
 	switch string(magic) {
-	case idxMagic:
-		return ReadIndex(br)
 	case compactMagic:
 		return ReadCompact(br)
 	case mmapMagic:
 		return readPIDMStream(br)
 	default:
-		return nil, fmt.Errorf("label: unrecognized index magic %q (want PIDX, PIDC or PIDM)", magic)
+		return nil, fmt.Errorf("label: unrecognized index magic %q (want PIDC or PIDM)", magic)
 	}
 }
 
 // OpenAny loads the index at path through the cheapest route its format
 // allows: PIDM files are memory-mapped zero-copy via Open (O(1)
-// start-up, no section checksum — see Open), PIDX and PIDC files are
+// start-up, no section checksum — see Open), PIDC files are
 // heap-decoded with full verification via ReadAny. The format is
 // sniffed from the file contents; extensions are irrelevant.
 func OpenAny(path string) (*Index, error) {

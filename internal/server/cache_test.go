@@ -121,8 +121,8 @@ func saveWeightedLineIndex(t *testing.T, dir string, n int, w graph.Dist, format
 // Run under -race this also hammers cache Put/Get against the swap.
 func TestCacheReloadNeverStale(t *testing.T) {
 	dir := t.TempDir()
-	pathA := saveWeightedLineIndex(t, dir, 6, 1, label.FormatFixed) // d(0,5) = 5
-	pathB := saveWeightedLineIndex(t, dir, 6, 2, label.FormatMmap)  // d(0,5) = 10
+	pathA := saveWeightedLineIndex(t, dir, 6, 1, label.FormatMmap) // d(0,5) = 5
+	pathB := saveWeightedLineIndex(t, dir, 6, 2, label.FormatMmap) // d(0,5) = 10
 	want := map[string]int64{pathA: 5, pathB: 10}
 
 	s := NewPending(nil)

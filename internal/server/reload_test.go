@@ -99,7 +99,7 @@ func postReload(t *testing.T, url, path string) (int, reloadResponse) {
 
 func TestReloadEndpoint(t *testing.T) {
 	dir := t.TempDir()
-	small := saveLineIndex(t, dir, 4, label.FormatFixed)
+	small := saveLineIndex(t, dir, 4, label.FormatMmap)
 	big := saveLineIndex(t, dir, 9, label.FormatMmap)
 
 	s := NewPending(nil)
@@ -116,7 +116,7 @@ func TestReloadEndpoint(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	// Reload onto a different artifact: generation bumps, stats flip to
-	// the new index (size and format prove the swap happened).
+	// the new index (size and source prove the swap happened).
 	code, out := postReload(t, ts.URL, big)
 	if code != http.StatusOK {
 		t.Fatalf("reload: status %d", code)
@@ -158,7 +158,7 @@ func TestReloadEndpoint(t *testing.T) {
 // (or panic) from a path index validated against another graph.
 func TestReloadPathIndexCarryOver(t *testing.T) {
 	dir := t.TempDir()
-	a := saveLineIndex(t, dir, 6, label.FormatFixed)
+	a := saveLineIndex(t, dir, 6, label.FormatMmap)
 	b := saveLineIndex(t, dir, 9, label.FormatMmap)
 
 	s := NewPending(nil)
@@ -203,7 +203,7 @@ func TestReloadPathIndexCarryOver(t *testing.T) {
 // tiny, so an oversized body is rejected before it is buffered.
 func TestReloadBodyTooLarge(t *testing.T) {
 	dir := t.TempDir()
-	path := saveLineIndex(t, dir, 4, label.FormatFixed)
+	path := saveLineIndex(t, dir, 4, label.FormatMmap)
 	s := NewPending(nil)
 	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
 		idx, err := fileio.LoadIndex(p)
@@ -237,7 +237,7 @@ func TestReloadWithoutLoader(t *testing.T) {
 
 func TestReloadBusy(t *testing.T) {
 	dir := t.TempDir()
-	path := saveLineIndex(t, dir, 4, label.FormatFixed)
+	path := saveLineIndex(t, dir, 4, label.FormatMmap)
 	block := make(chan struct{})
 	entered := make(chan struct{})
 	s := NewPending(nil)
@@ -268,8 +268,8 @@ func TestReloadBusy(t *testing.T) {
 // from the new index, not a stale pin of the old one.
 func TestReloadRebuildsKNN(t *testing.T) {
 	dir := t.TempDir()
-	small := saveLineIndex(t, dir, 3, label.FormatFixed)
-	big := saveLineIndex(t, dir, 8, label.FormatFixed)
+	small := saveLineIndex(t, dir, 3, label.FormatMmap)
+	big := saveLineIndex(t, dir, 8, label.FormatMmap)
 
 	s := NewPending(nil)
 	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
@@ -317,7 +317,6 @@ func TestReloadRebuildsKNN(t *testing.T) {
 func TestHotReloadHammer(t *testing.T) {
 	dir := t.TempDir()
 	paths := []string{
-		saveLineIndex(t, dir, 6, label.FormatFixed),
 		saveLineIndex(t, dir, 6, label.FormatCompact),
 		saveLineIndex(t, dir, 6, label.FormatMmap),
 	}

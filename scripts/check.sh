@@ -57,7 +57,7 @@ echo "== perfbench module (go vet + go test -short)"
 FUZZTIME="${FUZZTIME:-5s}"
 echo "== fuzz smoke (${FUZZTIME} per target)"
 go test -fuzz=FuzzDecodeFrame -fuzztime="$FUZZTIME" -run '^$' ./internal/cluster/
-go test -fuzz=FuzzOpenPIDM -fuzztime="$FUZZTIME" -run '^$' ./internal/label/
+go test -fuzz=FuzzReadAny -fuzztime="$FUZZTIME" -run '^$' ./internal/label/
 go test -fuzz=FuzzWALReplay -fuzztime="$FUZZTIME" -run '^$' ./internal/wal/
 
 # Crash-recovery smoke: the living-graph durability contract end to
