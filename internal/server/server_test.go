@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"parapll/internal/graph"
@@ -131,6 +132,32 @@ func TestBatchValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /batch: status %d", resp.StatusCode)
+	}
+}
+
+// TestBatchPairArity: a pair must be exactly [s,t]. encoding/json pads
+// or truncates a fixed-size array, which used to answer d(3,0) for [3],
+// d(0,0) for [] and silently drop the 5 of [3,4,5].
+func TestBatchPairArity(t *testing.T) {
+	ts, _ := testServer(t, false)
+	for body, want := range map[string]string{
+		`{"pairs":[[3]]}`:           "pair 0: want [s,t]",
+		`{"pairs":[[]]}`:            "pair 0: want [s,t]",
+		`{"pairs":[[0,1],[3,4,5]]}`: "pair 1: want [s,t]",
+	} {
+		resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding reply: %v", body, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || reply["error"] != want {
+			t.Errorf("%s: status %d, reply %v; want 400 %q", body, resp.StatusCode, reply, want)
+		}
 	}
 }
 

@@ -59,6 +59,8 @@ echo "== fuzz smoke (${FUZZTIME} per target)"
 go test -fuzz=FuzzDecodeFrame -fuzztime="$FUZZTIME" -run '^$' ./internal/cluster/
 go test -fuzz=FuzzReadAny -fuzztime="$FUZZTIME" -run '^$' ./internal/label/
 go test -fuzz=FuzzWALReplay -fuzztime="$FUZZTIME" -run '^$' ./internal/wal/
+go test -fuzz=FuzzBatchBody -fuzztime="$FUZZTIME" -run '^$' ./internal/server/
+go test -fuzz=FuzzQueryParams -fuzztime="$FUZZTIME" -run '^$' ./internal/server/
 
 # Crash-recovery smoke: the living-graph durability contract end to
 # end through the real binary — serve with -wal, acknowledge updates,
