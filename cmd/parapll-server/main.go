@@ -38,9 +38,10 @@
 // into a fresh checkpoint artifact in the background once it holds N
 // records (publishing it through the same generation machinery as
 // /reload), and -compact-threads bounds that rebuild's parallelism.
-// Living-graph mode needs -graph, and it disables the distance cache:
-// distances mutate within a generation, so a cached answer could
-// outlive the insert that shortened it.
+// Living-graph mode needs -graph, serves no path index (so -paths is
+// rejected), and disables the distance cache: distances mutate within
+// a generation, so a cached answer could outlive the insert that
+// shortened it.
 //
 // Observability flags: -slow-ms bounds the /debug/slow slow-query log;
 // -trace-sample N records a span for 1 in N requests; -trace FILE
@@ -52,12 +53,20 @@
 // metrics, goroutine/heap profiles, /stats, WAL state) written on
 // GET /debug/bundle, on any handler panic, on SIGQUIT, and on every SLO
 // breach; -flight-keep / -flight-gap-ms / -flight-trace-sec bound the
-// spool, the auto-capture rate, and the trace window. -slo-window-ms
-// arms the anomaly watchdog (GET /debug/health, slo.* gauges on
-// /metrics): -slo-query-p99-us watches the windowed /query+/batch p99,
+// spool, the auto-capture rate, and the trace window. A bundle is only
+// as good as the trace it embeds, so -flight turns request tracing on
+// at 1 in 1 (or 1 in N with -trace-sample N), with or without -trace;
+// -trace FILE then receives that same recording. -slo-window-ms arms
+// the anomaly watchdog (GET /debug/health, slo.* gauges on /metrics):
+// -slo-query-p99-us watches the windowed /query+/batch p99,
 // -slo-fsync-p99-us the WAL fsync p99 (living-graph mode),
 // -slo-compact-ms flags a compaction running past its deadline, and a
 // reload-failure rule is always on.
+//
+// Flag combinations that would silently do nothing are rejected with
+// exit status 1 before the listener binds: -paths with -wal, any -slo-*
+// rule without -slo-window-ms, and -slo-fsync-p99-us or -slo-compact-ms
+// without -wal.
 package main
 
 import (
@@ -110,41 +119,50 @@ func main() {
 		sloCompactMS  = flag.Int64("slo-compact-ms", 0, "SLO: breach when a compaction has been running longer than this many milliseconds (0 = rule off)")
 	)
 	flag.Parse()
-	if *indexPath == "" && *graphPath == "" {
-		fatalf("need -index or -graph")
-	}
-	if *paths && *graphPath == "" {
-		fatalf("-paths needs -graph")
-	}
-	if *walDir != "" && *graphPath == "" {
-		fatalf("-wal needs -graph (the pipeline folds updates into the graph)")
+	// Reject missing inputs and flag combinations whose feature would
+	// otherwise be silently dropped, before anything starts.
+	for _, c := range []struct {
+		bad bool
+		msg string
+	}{
+		{*indexPath == "" && *graphPath == "", "need -index or -graph"},
+		{*paths && *graphPath == "", "-paths needs -graph"},
+		{*walDir != "" && *graphPath == "", "-wal needs -graph (the pipeline folds updates into the graph)"},
+		{*walDir != "" && *paths, "-paths cannot be combined with -wal (living-graph mode serves no path index)"},
+		{*sloQueryP99US > 0 && *sloWindowMS <= 0, "-slo-query-p99-us needs -slo-window-ms (the watchdog that evaluates it)"},
+		{*sloFsyncP99US > 0 && *sloWindowMS <= 0, "-slo-fsync-p99-us needs -slo-window-ms (the watchdog that evaluates it)"},
+		{*sloCompactMS > 0 && *sloWindowMS <= 0, "-slo-compact-ms needs -slo-window-ms (the watchdog that evaluates it)"},
+		{*sloFsyncP99US > 0 && *walDir == "", "-slo-fsync-p99-us needs -wal (it watches the living-graph pipeline)"},
+		{*sloCompactMS > 0 && *walDir == "", "-slo-compact-ms needs -wal (it watches the living-graph pipeline)"},
+	} {
+		if c.bad {
+			fatalf("%s", c.msg)
+		}
 	}
 	if *walDir != "" && *cacheEnts != 0 {
 		// Living-graph distances mutate within a generation; the
 		// generation-keyed cache would serve overestimates.
 		*cacheEnts = 0
 	}
+	reg := metrics.NewRegistry()
 
-	srv := server.NewPending(metrics.NewRegistry())
-	srv.SetLoader(func(path string) (*label.Index, *pathidx.Index, error) {
-		idx, err := fileio.LoadIndex(path)
-		return idx, nil, err // nil pidx: a reload keeps the current path index
-	})
-	srv.SlowQueries().SetThreshold(time.Duration(*slowMS) * time.Millisecond)
-	srv.SetCacheEntries(*cacheEnts) // before the first Publish: snapshots wrap at publish time
-	srv.SetBatchThreads(*batchThr)
-
+	// One tracer decision. A flight bundle is only as good as the trace
+	// it embeds, so -flight records every request unless -trace-sample
+	// says otherwise; with only -trace, the tracer stays disabled until a
+	// GET /debug/trace capture turns it on for its window.
 	var tr *parapll.Tracer
-	if *traceRate > 0 || *traceOut != "" {
+	if *traceRate > 0 || *traceOut != "" || *flightDir != "" {
 		tr = parapll.NewTracer(0, 0)
-		if *traceRate > 0 {
-			tr.SetSample(uint64(*traceRate))
+		sample := *traceRate
+		if sample <= 0 && *flightDir != "" {
+			sample = 1
+		}
+		if sample > 0 {
+			tr.SetSample(uint64(sample))
 			tr.Enable()
 		}
-		// With only -trace, the tracer stays disabled until a
-		// GET /debug/trace capture turns it on for its window.
-		srv.SetTracer(tr)
 	}
+
 	if *traceOut != "" {
 		term := make(chan os.Signal, 1)
 		signal.Notify(term, os.Interrupt, syscall.SIGTERM)
@@ -166,16 +184,16 @@ func main() {
 		}()
 	}
 
-	// Flight recorder: bundles are only as good as the trace they embed,
-	// so -flight with no tracer arms one recording every request.
+	// Living-graph pipeline settings; prepareLive fills in the rest.
+	live := compact.Options{Dir: *walDir, CompactEvery: *compactN, Threads: *compactThr, Tracer: tr}
+
+	// The recorder's and the watchdog's sources read srv and wd, which
+	// are built after them; both are set before the listener, the
+	// watchdog or a signal can trigger a capture.
+	var srv *server.Server
+	var wd *flight.Watchdog
 	var rec *flight.Recorder
 	if *flightDir != "" {
-		if tr == nil {
-			tr = parapll.NewTracer(0, 0)
-			tr.SetSample(1)
-			tr.Enable()
-			srv.SetTracer(tr)
-		}
 		var err error
 		rec, err = flight.New(flight.Options{
 			Dir:         *flightDir,
@@ -183,9 +201,9 @@ func main() {
 			MinGap:      time.Duration(*flightGapMS) * time.Millisecond,
 			TraceWindow: time.Duration(*flightTraceSec) * time.Second,
 		}, flight.Sources{
-			Tracer:   srv.Tracer,
-			Registry: srv.Registry(),
-			Stats:    srv.StatsPayload,
+			Tracer:   tr,
+			Registry: reg,
+			Stats:    func() any { return srv.StatsPayload() },
 			WAL: func() any {
 				up := srv.Updater()
 				if up == nil {
@@ -195,7 +213,6 @@ func main() {
 				return &st
 			},
 			Health: func() any {
-				wd := srv.Watchdog()
 				if wd == nil {
 					return nil
 				}
@@ -205,7 +222,67 @@ func main() {
 		if err != nil {
 			fatalf("arming flight recorder: %v", err)
 		}
-		srv.SetFlight(rec)
+	}
+
+	// Anomaly watchdog: windowed SLO verdicts at /debug/health, slo.*
+	// gauges on /metrics, and (with -flight) a rate-limited capture on
+	// every breach.
+	var queryWin *metrics.WindowedHistogram
+	var rules []string
+	if *sloWindowMS > 0 {
+		wd = flight.NewWatchdog(flight.WatchdogOptions{
+			Window:   time.Duration(*sloWindowMS) * time.Millisecond,
+			Registry: reg,
+			Recorder: rec,
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, "parapll-server: "+format+"\n", args...)
+			},
+		})
+		if *sloQueryP99US > 0 {
+			queryWin = metrics.NewWindowed(metrics.DefaultLatencyBuckets, 6)
+			wd.AddLatencyRule("query_p99", "us", queryWin, 0.99, *sloQueryP99US, 1)
+			rules = append(rules, fmt.Sprintf("query p99 > %dus", *sloQueryP99US))
+		}
+		if *sloFsyncP99US > 0 {
+			fsyncWin := metrics.NewWindowed(metrics.DefaultLatencyBuckets, 6)
+			live.OnFsync = func(d time.Duration) { fsyncWin.Observe(d.Microseconds()) }
+			wd.AddLatencyRule("wal_fsync_p99", "us", fsyncWin, 0.99, *sloFsyncP99US, 1)
+			rules = append(rules, fmt.Sprintf("wal fsync p99 > %dus", *sloFsyncP99US))
+		}
+		if *sloCompactMS > 0 {
+			deadline := *sloCompactMS
+			wd.AddProbeRule("compact_deadline", "ms", deadline, func() (int64, bool) {
+				up := srv.Updater()
+				if up == nil {
+					return 0, false
+				}
+				since := up.Stats().CompactingSinceUnixNano
+				if since == 0 {
+					return 0, false
+				}
+				ms := (time.Now().UnixNano() - since) / int64(time.Millisecond)
+				return ms, ms > deadline
+			})
+			rules = append(rules, fmt.Sprintf("compact > %dms", deadline))
+		}
+	}
+
+	srv = server.NewPending(&server.Options{
+		Registry: reg,
+		Loader: func(path string) (*label.Index, *pathidx.Index, error) {
+			idx, err := fileio.LoadIndex(path)
+			return idx, nil, err // nil pidx: a reload keeps the current path index
+		},
+		BatchThreads: *batchThr,
+		Tracer:       tr,
+		Flight:       rec,
+		Watchdog:     wd,
+		QueryWindow:  queryWin,
+	})
+	srv.SlowQueries().SetThreshold(time.Duration(*slowMS) * time.Millisecond)
+	srv.SetCacheEntries(*cacheEnts) // before the first Publish: snapshots wrap at publish time
+
+	if rec != nil {
 		// SIGQUIT = "dump evidence and die": the bundle carries the same
 		// goroutine stacks the default handler would print, plus the
 		// trace/metrics context the stacks alone lack.
@@ -223,51 +300,9 @@ func main() {
 		}()
 		fmt.Printf("flight recorder armed: spool %s (keep %d)\n", *flightDir, *flightKeep)
 	}
-
-	// Anomaly watchdog: windowed SLO verdicts at /debug/health, slo.*
-	// gauges on /metrics, and (with -flight) a rate-limited capture on
-	// every breach.
-	var fsyncWin *metrics.WindowedHistogram
-	if *sloWindowMS > 0 {
-		var rules []string
-		wd := flight.NewWatchdog(flight.WatchdogOptions{
-			Window:   time.Duration(*sloWindowMS) * time.Millisecond,
-			Registry: srv.Registry(),
-			Recorder: rec,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "parapll-server: "+format+"\n", args...)
-			},
-		})
-		if *sloQueryP99US > 0 {
-			qwin := metrics.NewWindowed(metrics.DefaultLatencyBuckets, 6)
-			srv.SetQueryLatencyWindow(qwin)
-			wd.AddLatencyRule("query_p99", "us", qwin, 0.99, *sloQueryP99US, 1)
-			rules = append(rules, fmt.Sprintf("query p99 > %dus", *sloQueryP99US))
-		}
-		if *sloFsyncP99US > 0 && *walDir != "" {
-			fsyncWin = metrics.NewWindowed(metrics.DefaultLatencyBuckets, 6)
-			wd.AddLatencyRule("wal_fsync_p99", "us", fsyncWin, 0.99, *sloFsyncP99US, 1)
-			rules = append(rules, fmt.Sprintf("wal fsync p99 > %dus", *sloFsyncP99US))
-		}
-		if *sloCompactMS > 0 && *walDir != "" {
-			deadline := *sloCompactMS
-			wd.AddProbeRule("compact_deadline", "ms", deadline, func() (int64, bool) {
-				up := srv.Updater()
-				if up == nil {
-					return 0, false
-				}
-				since := up.Stats().CompactingSinceUnixNano
-				if since == 0 {
-					return 0, false
-				}
-				ms := (time.Now().UnixNano() - since) / int64(time.Millisecond)
-				return ms, ms > deadline
-			})
-			rules = append(rules, fmt.Sprintf("compact > %dms", deadline))
-		}
+	if wd != nil {
 		wd.AddCounterRule("reload_failures", srv.ReloadFailures(), 0)
 		rules = append(rules, "any reload failure")
-		srv.SetWatchdog(wd)
 		wd.Start()
 		fmt.Printf("watchdog armed: window %dms (%s)\n",
 			*sloWindowMS, strings.Join(rules, ", "))
@@ -277,12 +312,7 @@ func main() {
 	// /metrics) is up from the first moment.
 	go func() {
 		if *walDir != "" {
-			var onFsync func(time.Duration)
-			if fsyncWin != nil {
-				win := fsyncWin
-				onFsync = func(d time.Duration) { win.Observe(d.Microseconds()) }
-			}
-			prepareLive(srv, *walDir, *indexPath, *graphPath, *compactN, *compactThr, onFsync)
+			prepareLive(srv, live, *indexPath, *graphPath)
 			return
 		}
 		idx, pidx, source := prepare(*indexPath, *graphPath, *paths, *threads)
@@ -331,41 +361,34 @@ func main() {
 // pipeline as the server's updater, and publish the checkpoint artifact
 // as the first snapshot. Compactions publish their fresh artifact back
 // through the server's /reload machinery, so the generation counter
-// advances exactly once per checkpoint roll.
-func prepareLive(srv *server.Server, walDir, indexPath, graphPath string, compactEvery, compactThreads int, onFsync func(time.Duration)) {
+// advances exactly once per checkpoint roll. opt carries the flag-set
+// fields; prepareLive fills in the graph, seed index and callbacks.
+func prepareLive(srv *server.Server, opt compact.Options, indexPath, graphPath string) {
 	g, err := parapll.LoadGraph(graphPath)
 	if err != nil {
 		fatalf("loading graph: %v", err)
 	}
-	var seed *label.Index
+	opt.Graph = g
 	if indexPath != "" {
-		if seed, err = fileio.LoadIndex(indexPath); err != nil {
+		if opt.Index, err = fileio.LoadIndex(indexPath); err != nil {
 			fatalf("loading index: %v", err)
 		}
 	}
 	var pipe *compact.Pipeline
 	t0 := time.Now()
-	pipe, err = compact.Open(compact.Options{
-		Dir:          walDir,
-		Graph:        g,
-		Index:        seed,
-		CompactEvery: compactEvery,
-		Threads:      compactThreads,
-		Tracer:       srv.Tracer,
-		OnFsync:      onFsync, // feeds the watchdog's wal_fsync_p99 window
-		OnPublish: func(rep compact.Report) {
-			gen, err := srv.Reload(pipe.IndexPath())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "parapll-server: publishing compacted checkpoint: %v\n", err)
-				return
-			}
-			fmt.Printf("compaction published: generation %d (%s of %d records, swap %s)\n",
-				gen, rep.Mode, rep.Folded, rep.SwapTime.Round(time.Microsecond))
-		},
-		Logf: func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, "parapll-server: "+format+"\n", args...)
-		},
-	})
+	opt.OnPublish = func(rep compact.Report) {
+		gen, err := srv.Reload(pipe.IndexPath())
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "parapll-server: publishing compacted checkpoint: %v\n", err)
+			return
+		}
+		fmt.Printf("compaction published: generation %d (%s of %d records, swap %s)\n",
+			gen, rep.Mode, rep.Folded, rep.SwapTime.Round(time.Microsecond))
+	}
+	opt.Logf = func(format string, args ...interface{}) {
+		fmt.Fprintf(os.Stderr, "parapll-server: "+format+"\n", args...)
+	}
+	pipe, err = compact.Open(opt)
 	if err != nil {
 		fatalf("opening living-graph pipeline: %v", err)
 	}
@@ -377,10 +400,10 @@ func prepareLive(srv *server.Server, walDir, indexPath, graphPath string, compac
 	gen := srv.Publish(idx, nil, pipe.IndexPath())
 	st := pipe.Stats()
 	fmt.Printf("ready (living-graph): generation %d  (n=%d, wal=%d records, compact-every=%d) in %.2fs\n",
-		gen, idx.NumVertices(), st.WALRecords, compactEvery, time.Since(t0).Seconds())
+		gen, idx.NumVertices(), st.WALRecords, opt.CompactEvery, time.Since(t0).Seconds())
 	// A WAL already past the threshold (accumulated while down) should
 	// not wait for the next insert to fold.
-	if compactEvery > 0 && st.WALRecords >= compactEvery {
+	if opt.CompactEvery > 0 && st.WALRecords >= opt.CompactEvery {
 		go func() {
 			if _, err := pipe.Compact(); err != nil {
 				fmt.Fprintf(os.Stderr, "parapll-server: boot compaction: %v\n", err)

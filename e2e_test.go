@@ -2,6 +2,7 @@ package parapll_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -368,19 +369,8 @@ func TestFlightBreachE2E(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short mode")
 	}
 	dir := t.TempDir()
-	serverBin := filepath.Join(dir, "parapll-server")
-	traceBin := filepath.Join(dir, "parapll-trace")
-	for bin, pkg := range map[string]string{serverBin: "./cmd/parapll-server", traceBin: "./cmd/parapll-trace"} {
-		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", pkg, err, out)
-		}
-	}
-
-	base := gen.ChungLu(120, 320, 2.2, 77)
-	graphPath := filepath.Join(dir, "graph.bin")
-	if err := fileio.SaveGraph(graphPath, base); err != nil {
-		t.Fatal(err)
-	}
+	serverBin, traceBin := buildTool(t, dir, "parapll-server"), buildTool(t, dir, "parapll-trace")
+	graphPath := saveE2EGraph(t, dir)
 
 	spool := filepath.Join(dir, "flight")
 	if art := os.Getenv("PARAPLL_E2E_ARTIFACTS"); art != "" {
@@ -391,34 +381,10 @@ func TestFlightBreachE2E(t *testing.T) {
 	url := func(path string) string { return "http://" + addr + path }
 	// -slo-query-p99-us 1: every real request breaches, so two 100ms
 	// windows of traffic trip the default hysteresis.
-	srv := exec.Command(serverBin,
-		"-graph", graphPath, "-addr", addr,
+	startServer(t, serverBin, addr,
+		"-graph", graphPath,
 		"-flight", spool, "-flight-keep", "4", "-flight-gap-ms", "100", "-flight-trace-sec", "10",
 		"-slo-window-ms", "100", "-slo-query-p99-us", "1")
-	srv.Stdout = os.Stderr
-	srv.Stderr = os.Stderr
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		srv.Process.Kill()
-		srv.Wait()
-	}()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(url("/readyz"))
-		if err == nil {
-			ready := resp.StatusCode == http.StatusOK
-			resp.Body.Close()
-			if ready {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never became ready: %v", err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 
 	// Drive traffic until the watchdog flips to breach.
 	breachDeadline := time.Now().Add(20 * time.Second)
@@ -539,5 +505,144 @@ func TestFlightBreachE2E(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"reason"`)) {
 		t.Fatalf("/debug/bundle: status %d: %.200s", resp.StatusCode, body)
+	}
+}
+
+// buildTool builds ./cmd/<tool> into dir and returns the binary's path.
+func buildTool(t *testing.T, dir, tool string) string {
+	t.Helper()
+	bin := filepath.Join(dir, tool)
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+tool).CombinedOutput(); err != nil {
+		t.Fatalf("building %s: %v\n%s", tool, err, out)
+	}
+	return bin
+}
+
+// saveE2EGraph writes the deterministic 120-vertex test graph into dir
+// the way parapll-gen would and returns its path.
+func saveE2EGraph(t *testing.T, dir string) string {
+	t.Helper()
+	graphPath := filepath.Join(dir, "graph.bin")
+	if err := fileio.SaveGraph(graphPath, gen.ChungLu(120, 320, 2.2, 77)); err != nil {
+		t.Fatal(err)
+	}
+	return graphPath
+}
+
+// startServer runs parapll-server on addr with args, waits until
+// /readyz answers 200, and kills it when the test ends.
+func startServer(t *testing.T, bin, addr string, args ...string) {
+	t.Helper()
+	srv := exec.Command(bin, append([]string{"-addr", addr}, args...)...)
+	srv.Stdout = os.Stderr
+	srv.Stderr = os.Stderr
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Process.Kill()
+		srv.Wait()
+	})
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := http.Get("http://" + addr + "/readyz")
+		if err == nil {
+			ready := resp.StatusCode == http.StatusOK
+			resp.Body.Close()
+			if ready {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server never became ready: %v", err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestFlightWithTraceE2E: -flight with -trace and no -trace-sample must
+// still record requests, so an on-demand bundle embeds a trace that
+// `parapll-trace check` accepts (the -trace tracer used to stay
+// disabled, and the bundle carried no trace at all).
+func TestFlightWithTraceE2E(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	dir := t.TempDir()
+	serverBin, traceBin := buildTool(t, dir, "parapll-server"), buildTool(t, dir, "parapll-trace")
+	const addr = "127.0.0.1:18971"
+	startServer(t, serverBin, addr, "-graph", saveE2EGraph(t, dir),
+		"-flight", filepath.Join(dir, "flight"), "-trace", filepath.Join(dir, "trace.json"))
+
+	for i := 0; i < 20; i++ {
+		resp, err := http.Get(fmt.Sprintf("http://%s/query?s=%d&t=%d", addr, i, 119-i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	resp, err := http.Get("http://" + addr + "/debug/bundle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/bundle: status %d: %.200s", resp.StatusCode, body)
+	}
+	bundle := filepath.Join(dir, "bundle.json")
+	if err := os.WriteFile(bundle, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(traceBin, "check", bundle).CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "flight bundle ok") {
+		t.Fatalf("parapll-trace check: %v\n%s", err, out)
+	}
+}
+
+// TestServerRejectsIgnoredFlagsE2E: flag combinations whose feature
+// would silently do nothing make parapll-server exit non-zero, naming
+// the flag, before its listener binds.
+func TestServerRejectsIgnoredFlagsE2E(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	dir := t.TempDir()
+	serverBin := buildTool(t, dir, "parapll-server")
+	graphPath := saveE2EGraph(t, dir)
+	walDir := filepath.Join(dir, "wal")
+	for _, tc := range []struct {
+		name string
+		args []string
+		flag string
+	}{
+		{"paths in living-graph mode", []string{"-wal", walDir, "-paths"}, "-paths"},
+		{"query rule without watchdog", []string{"-slo-query-p99-us", "500"}, "-slo-query-p99-us"},
+		{"fsync rule without watchdog", []string{"-wal", walDir, "-slo-fsync-p99-us", "500"}, "-slo-fsync-p99-us"},
+		{"fsync rule without wal", []string{"-slo-window-ms", "100", "-slo-fsync-p99-us", "500"}, "-slo-fsync-p99-us"},
+		{"compact rule without wal", []string{"-slo-window-ms", "100", "-slo-compact-ms", "500"}, "-slo-compact-ms"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			args := append([]string{"-graph", graphPath, "-addr", "127.0.0.1:18977"}, tc.args...)
+			cmd := exec.CommandContext(ctx, serverBin, args...)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			if ctx.Err() != nil {
+				t.Fatalf("%v: server kept running instead of exiting\nstdout: %s", tc.args, stdout.Bytes())
+			}
+			if err == nil {
+				t.Fatalf("%v: exit status 0, want non-zero", tc.args)
+			}
+			if !strings.Contains(stderr.String(), tc.flag) {
+				t.Fatalf("%v: stderr does not name %s: %s", tc.args, tc.flag, stderr.Bytes())
+			}
+			if strings.Contains(stdout.String(), "listening on") {
+				t.Fatalf("%v: rejected only after the listener came up: %s", tc.args, stdout.Bytes())
+			}
+		})
 	}
 }

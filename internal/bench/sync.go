@@ -13,7 +13,7 @@ import (
 
 // SyncResult is one sync-pipeline measurement: a full cluster build on
 // the in-process transport at a given sync count, blocking or
-// overlapped. scripts/bench_sync.sh serializes these to BENCH_sync.json
+// overlapped. scripts/bench.sh sync serializes these to BENCH_sync.json
 // so the pipeline's throughput and compression are tracked over time.
 type SyncResult struct {
 	Dataset string `json:"dataset"`

@@ -113,9 +113,8 @@ type Options struct {
 	Engine core.Engine
 	// Tracer, when non-nil, is consulted per operation; sampled updates
 	// emit wal.append spans on trace.TIDWAL and every compaction emits
-	// a compact.run span on trace.TIDCompact. Returning nil means
-	// tracing is off for that operation.
-	Tracer func() *trace.Tracer
+	// a compact.run span on trace.TIDCompact.
+	Tracer *trace.Tracer
 	// OnPublish, when non-nil, is called after every completed
 	// compaction, outside all pipeline locks — the server uses it to
 	// bump its snapshot generation and metrics.
@@ -386,14 +385,11 @@ func (p *Pipeline) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist
 // acknowledged insert survives kill -9 and every logged record is
 // applicable on replay. Validation failures wrap dynamic.ErrInvalid.
 func (p *Pipeline) Update(u, v graph.Vertex, w graph.Dist) error {
-	var tr *trace.Tracer
+	tr := p.opt.Tracer
+	sampled := tr.Sample()
 	var t0 int64
-	if p.opt.Tracer != nil {
-		if tr = p.opt.Tracer(); tr.Sample() {
-			t0 = tr.Now()
-		} else {
-			tr = nil
-		}
+	if sampled {
+		t0 = tr.Now()
 	}
 	p.mu.Lock()
 	err := p.insertLocked(u, v, w)
@@ -402,7 +398,7 @@ func (p *Pipeline) Update(u, v graph.Vertex, w graph.Dist) error {
 	if err != nil {
 		return err
 	}
-	if tr != nil {
+	if sampled {
 		tr.Buf(trace.TIDWAL).Span(tr.Intern("wal.append", "u", "v", "w"), t0, tr.Now(),
 			uint64(uint32(u)), uint64(uint32(v)), uint64(w))
 	}
@@ -443,14 +439,11 @@ func (p *Pipeline) Compact() (Report, error) {
 		p.compacting.Store(false)
 	}()
 
-	var tr *trace.Tracer
+	tr := p.opt.Tracer
+	traced := tr.Enabled()
 	var tr0 int64
-	if p.opt.Tracer != nil {
-		if tr = p.opt.Tracer(); tr.Enabled() {
-			tr0 = tr.Now()
-		} else {
-			tr = nil
-		}
+	if traced {
+		tr0 = tr.Now()
 	}
 
 	// Phase 1 (write-locked): fix the fold point n; in fold mode also
@@ -530,7 +523,7 @@ func (p *Pipeline) Compact() (Report, error) {
 		BuildTime: buildTime, SaveTime: saveTime, SwapTime: swapTime,
 		Generation: gen,
 	}
-	if tr != nil {
+	if traced {
 		var m uint64
 		if mode == "rebuild" {
 			m = 1

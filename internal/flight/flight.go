@@ -48,9 +48,9 @@ import (
 // interfaces on the server) so flight has no dependency on the serving
 // layer and each subsystem plugs in exactly the state it owns.
 type Sources struct {
-	// Tracer returns the live tracer (nil when tracing is off); the
-	// bundle embeds the ring's last TraceWindow of events.
-	Tracer func() *trace.Tracer
+	// Tracer is the live tracer (nil when tracing is off); while it is
+	// enabled, the bundle embeds the ring's last TraceWindow of events.
+	Tracer *trace.Tracer
 	// Registry is snapshotted into the bundle and sampled into the
 	// rolling metric ring.
 	Registry *metrics.Registry
@@ -332,14 +332,12 @@ func (r *Recorder) buildLocked(reason string) *Bundle {
 		MetricRing: r.samplesLocked(),
 		Errors:     r.errorsLocked(),
 	}
-	if r.src.Tracer != nil {
-		if tr := r.src.Tracer(); tr.Enabled() {
-			since := tr.Now() - r.opt.TraceWindow.Nanoseconds()
-			if data, err := tr.Capture(since); err == nil {
-				b.Trace = data
-			} else {
-				b.TraceError = err.Error()
-			}
+	if tr := r.src.Tracer; tr.Enabled() {
+		since := tr.Now() - r.opt.TraceWindow.Nanoseconds()
+		if data, err := tr.Capture(since); err == nil {
+			b.Trace = data
+		} else {
+			b.TraceError = err.Error()
 		}
 	}
 	if r.src.Registry != nil {

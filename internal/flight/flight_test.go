@@ -34,7 +34,7 @@ func TestRecorderBundleRoundTrip(t *testing.T) {
 	reg.Counter("http.requests.query").Add(3)
 	tr := testTracer(t)
 	rec, err := New(Options{Dir: t.TempDir()}, Sources{
-		Tracer:   func() *trace.Tracer { return tr },
+		Tracer:   tr,
 		Registry: reg,
 		Stats:    func() any { return map[string]int{"vertices": 5} },
 		WAL:      func() any { return map[string]int{"wal_records": 2} },

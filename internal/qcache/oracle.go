@@ -16,8 +16,7 @@ type Options struct {
 	Symmetric bool
 	// Tracer, when non-nil, is consulted per query; sampled queries emit
 	// a qcache.query span (arg hit=0/1) on the trace.TIDCache lane.
-	// Returning nil means tracing is off for that query.
-	Tracer func() *trace.Tracer
+	Tracer *trace.Tracer
 }
 
 // Cached wraps an oracle with a generation-keyed distance cache. It
@@ -69,17 +68,15 @@ func (o *Cached) query(s, t graph.Vertex) (graph.Dist, bool) {
 // Query returns the exact distance, from cache when possible. Both
 // reachable distances and graph.Inf are cached (negative caching).
 func (o *Cached) Query(s, t graph.Vertex) graph.Dist {
-	if o.opt.Tracer != nil {
-		if tr := o.opt.Tracer(); tr.Sample() {
-			t0 := tr.Now()
-			d, hit := o.query(s, t)
-			var h uint64
-			if hit {
-				h = 1
-			}
-			tr.Buf(trace.TIDCache).Span(tr.Intern("qcache.query", "hit"), t0, tr.Now(), h)
-			return d
+	if tr := o.opt.Tracer; tr.Sample() {
+		t0 := tr.Now()
+		d, hit := o.query(s, t)
+		var h uint64
+		if hit {
+			h = 1
 		}
+		tr.Buf(trace.TIDCache).Span(tr.Intern("qcache.query", "hit"), t0, tr.Now(), h)
+		return d
 	}
 	d, _ := o.query(s, t)
 	return d
@@ -90,17 +87,15 @@ func (o *Cached) Query(s, t graph.Vertex) graph.Dist {
 // whether the answer came from the cache. The serving layer uses it to
 // attribute slow-log entries; the plain Query stays the hot-path shape.
 func (o *Cached) QueryNote(s, t graph.Vertex) (graph.Dist, bool) {
-	if o.opt.Tracer != nil {
-		if tr := o.opt.Tracer(); tr.Sample() {
-			t0 := tr.Now()
-			d, hit := o.query(s, t)
-			var h uint64
-			if hit {
-				h = 1
-			}
-			tr.Buf(trace.TIDCache).Span(tr.Intern("qcache.query", "hit"), t0, tr.Now(), h)
-			return d, hit
+	if tr := o.opt.Tracer; tr.Sample() {
+		t0 := tr.Now()
+		d, hit := o.query(s, t)
+		var h uint64
+		if hit {
+			h = 1
 		}
+		tr.Buf(trace.TIDCache).Span(tr.Intern("qcache.query", "hit"), t0, tr.Now(), h)
+		return d, hit
 	}
 	return o.query(s, t)
 }

@@ -16,7 +16,6 @@ import (
 	"parapll/internal/graph"
 	"parapll/internal/label"
 	"parapll/internal/metrics"
-	"parapll/internal/pathidx"
 	"parapll/internal/pll"
 )
 
@@ -29,13 +28,13 @@ func TestBatchThreadsDefaultAndSetter(t *testing.T) {
 	if got := s.BatchThreads(); got != want {
 		t.Fatalf("default BatchThreads = %d, want %d", got, want)
 	}
-	s.SetBatchThreads(9)
-	if got := s.BatchThreads(); got != 9 {
-		t.Fatalf("BatchThreads after set = %d, want 9", got)
+	if got := NewPending(&Options{BatchThreads: 9}).BatchThreads(); got != 9 {
+		t.Fatalf("BatchThreads with Options.BatchThreads 9 = %d, want 9", got)
 	}
-	s.SetBatchThreads(0) // restore default
-	if got := s.BatchThreads(); got != want {
-		t.Fatalf("BatchThreads after reset = %d, want %d", got, want)
+	for _, n := range []int{0, -3} { // <= 0 means the default
+		if got := NewPending(&Options{BatchThreads: n}).BatchThreads(); got != want {
+			t.Fatalf("BatchThreads with Options.BatchThreads %d = %d, want %d", n, got, want)
+		}
 	}
 }
 
@@ -125,12 +124,8 @@ func TestCacheReloadNeverStale(t *testing.T) {
 	pathB := saveWeightedLineIndex(t, dir, 6, 2, label.FormatMmap) // d(0,5) = 10
 	want := map[string]int64{pathA: 5, pathB: 10}
 
-	s := NewPending(nil)
+	s := NewPending(&Options{Loader: fileLoader})
 	s.SetCacheEntries(4096)
-	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
-		idx, err := fileio.LoadIndex(p)
-		return idx, nil, err
-	})
 	first, err := fileio.LoadIndex(pathA)
 	if err != nil {
 		t.Fatal(err)
@@ -204,18 +199,18 @@ func TestCacheReloadNeverStale(t *testing.T) {
 
 func TestBatchUsesConfiguredThreads(t *testing.T) {
 	// Behavioral smoke: /batch answers identically for 1 and many
-	// configured threads, and the setting is visible while serving.
-	s := NewPending(nil)
-	s.SetCacheEntries(256)
-	s.Publish(pll.Build(lineGraph(40), pll.Options{}), nil, "")
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
-
+	// configured threads, each on its own server and cache.
+	idx := pll.Build(lineGraph(40), pll.Options{})
 	pairs := make([][2]graph.Vertex, 100)
 	for i := range pairs {
 		pairs[i] = [2]graph.Vertex{graph.Vertex(i % 40), graph.Vertex((i * 7) % 40)}
 	}
-	run := func() []int64 {
+	run := func(threads int) []int64 {
+		s := NewPending(&Options{BatchThreads: threads})
+		s.SetCacheEntries(256)
+		s.Publish(idx, nil, "")
+		ts := httptest.NewServer(s)
+		defer ts.Close()
 		body, _ := json.Marshal(batchRequest{Pairs: pairs})
 		resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -228,10 +223,10 @@ func TestBatchUsesConfiguredThreads(t *testing.T) {
 		}
 		return b.Dists
 	}
-	s.SetBatchThreads(1)
-	one := run()
-	s.SetBatchThreads(8)
-	eight := run()
+	one, eight := run(1), run(8)
+	if len(one) != len(pairs) || len(eight) != len(pairs) {
+		t.Fatalf("got %d and %d dists for %d pairs", len(one), len(eight), len(pairs))
+	}
 	for i := range one {
 		if one[i] != eight[i] {
 			t.Fatalf("pair %d: threads=1 gives %d, threads=8 gives %d", i, one[i], eight[i])

@@ -17,16 +17,16 @@ import (
 	"parapll/internal/trace"
 )
 
-// testDiagServer builds a server over the usual 5-vertex test graph,
-// optionally fronted by the distance cache, returning the pieces tests
-// poke at directly.
-func testDiagServer(t *testing.T, cacheEntries int) (*Server, *httptest.Server, *label.Index) {
+// testDiagServer builds a server from opts over the usual 5-vertex test
+// graph, optionally fronted by the distance cache, returning the pieces
+// tests poke at directly.
+func testDiagServer(t *testing.T, cacheEntries int, opts *Options) (*Server, *httptest.Server, *label.Index) {
 	t.Helper()
 	g := graph.FromEdges(5, []graph.Edge{
 		{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 4}, {U: 2, V: 3, W: 5},
 	}) // vertex 4 isolated
 	idx := pll.Build(g, pll.Options{})
-	s := NewPending(nil)
+	s := NewPending(opts)
 	if cacheEntries > 0 {
 		s.SetCacheEntries(cacheEntries)
 	}
@@ -61,7 +61,7 @@ type explainWire struct {
 // hub QueryWithHub reports, validates input, and carries the cache's
 // undisturbed view of the pair.
 func TestDebugExplainEndpoint(t *testing.T) {
-	s, ts, idx := testDiagServer(t, 1<<10)
+	s, ts, idx := testDiagServer(t, 1<<10, nil)
 
 	for src := 0; src < 5; src++ {
 		for dst := 0; dst < 5; dst++ {
@@ -112,7 +112,7 @@ func TestDebugExplainEndpoint(t *testing.T) {
 // TestDebugExplainNoCache: without a distance cache the reply simply
 // omits the cache section.
 func TestDebugExplainNoCache(t *testing.T) {
-	_, ts, _ := testDiagServer(t, 0)
+	_, ts, _ := testDiagServer(t, 0, nil)
 	var ex explainWire
 	if code := getJSON(t, ts.URL+"/debug/explain?s=0&t=2", &ex); code != 200 {
 		t.Fatalf("status %d", code)
@@ -122,18 +122,19 @@ func TestDebugExplainNoCache(t *testing.T) {
 	}
 }
 
-// TestDebugHealthEndpoint: 412 until a watchdog is armed, then the
-// verdict report.
+// TestDebugHealthEndpoint: 412 on a server built without a watchdog;
+// the verdict report on one built with it.
 func TestDebugHealthEndpoint(t *testing.T) {
-	s, ts, _ := testDiagServer(t, 0)
-	if code := getJSON(t, ts.URL+"/debug/health", new(map[string]string)); code != http.StatusPreconditionFailed {
+	_, bare, _ := testDiagServer(t, 0, nil)
+	if code := getJSON(t, bare.URL+"/debug/health", new(map[string]string)); code != http.StatusPreconditionFailed {
 		t.Fatalf("no-watchdog status %d, want 412", code)
 	}
 
-	wd := flight.NewWatchdog(flight.WatchdogOptions{BreachAfter: 1, ClearAfter: 1, Registry: s.Registry()})
+	reg := metrics.NewRegistry()
+	wd := flight.NewWatchdog(flight.WatchdogOptions{BreachAfter: 1, ClearAfter: 1, Registry: reg})
 	h := metrics.NewWindowed(metrics.DefaultLatencyBuckets, 4)
 	wd.AddLatencyRule("query_p99", "us", h, 0.99, 1000, 1)
-	s.SetWatchdog(wd)
+	_, ts, _ := testDiagServer(t, 0, &Options{Registry: reg, Watchdog: wd})
 
 	h.Observe(100_000)
 	wd.Tick()
@@ -146,27 +147,28 @@ func TestDebugHealthEndpoint(t *testing.T) {
 	}
 }
 
-// TestDebugBundleEndpoint: 412 until a recorder is armed; afterwards a
-// manual trigger streams a parseable bundle that also lands in the
-// spool, with embedded trace and server stats.
+// TestDebugBundleEndpoint: 412 on a server built without a recorder; on
+// one built with it, a manual trigger streams a parseable bundle that
+// also lands in the spool, with embedded trace and server stats.
 func TestDebugBundleEndpoint(t *testing.T) {
-	s, ts, _ := testDiagServer(t, 0)
-	if code := getJSON(t, ts.URL+"/debug/bundle", new(map[string]string)); code != http.StatusPreconditionFailed {
+	_, bare, _ := testDiagServer(t, 0, nil)
+	if code := getJSON(t, bare.URL+"/debug/bundle", new(map[string]string)); code != http.StatusPreconditionFailed {
 		t.Fatalf("no-recorder status %d, want 412", code)
 	}
 
+	reg := metrics.NewRegistry()
 	tr := trace.New(1, 1<<12)
 	tr.Enable()
-	s.SetTracer(tr)
+	var s *Server // the Stats source reads the server built below
 	rec, err := flight.New(flight.Options{Dir: t.TempDir()}, flight.Sources{
-		Tracer:   s.Tracer,
-		Registry: s.Registry(),
-		Stats:    s.StatsPayload,
+		Tracer:   tr,
+		Registry: reg,
+		Stats:    func() any { return s.StatsPayload() },
 	})
 	if err != nil {
 		t.Fatalf("flight.New: %v", err)
 	}
-	s.SetFlight(rec)
+	s, ts, _ := testDiagServer(t, 0, &Options{Registry: reg, Tracer: tr, Flight: rec})
 
 	var q queryResponse
 	getJSON(t, ts.URL+"/query?s=0&t=3", &q) // put a span in the ring
@@ -205,12 +207,12 @@ func TestDebugBundleEndpoint(t *testing.T) {
 // dead connection), increments the panic counter, and dumps a flight
 // bundle tagged with the endpoint — bypassing the auto-capture gap.
 func TestPanicRecoveryMiddleware(t *testing.T) {
-	s, ts, _ := testDiagServer(t, 0)
-	rec, err := flight.New(flight.Options{Dir: t.TempDir(), MinGap: time.Hour}, flight.Sources{Registry: s.Registry()})
+	reg := metrics.NewRegistry()
+	rec, err := flight.New(flight.Options{Dir: t.TempDir(), MinGap: time.Hour}, flight.Sources{Registry: reg})
 	if err != nil {
 		t.Fatalf("flight.New: %v", err)
 	}
-	s.SetFlight(rec)
+	s, ts, _ := testDiagServer(t, 0, &Options{Registry: reg, Flight: rec})
 	s.handle("/boom", http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
 	})
@@ -222,7 +224,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	if e["error"] == "" {
 		t.Fatal("missing error body")
 	}
-	snap := s.Registry().Snapshot()
+	snap := reg.Snapshot()
 	if snap.Counters["http.panics_total"] != 1 {
 		t.Fatalf("http.panics_total = %d, want 1", snap.Counters["http.panics_total"])
 	}
@@ -255,7 +257,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 // snapshot generation and the cache hit/miss bit (miss first, then hit
 // on the repeat), and /stats entries carry generation only.
 func TestSlowLogAnnotations(t *testing.T) {
-	s, ts, _ := testDiagServer(t, 1<<10)
+	s, ts, _ := testDiagServer(t, 1<<10, nil)
 	s.SlowQueries().SetThreshold(time.Nanosecond) // everything is slow
 
 	var q queryResponse
@@ -295,9 +297,8 @@ func TestSlowLogAnnotations(t *testing.T) {
 // TestQueryWindowMiddleware: /query and /batch latencies land in the
 // installed windowed histogram; admin endpoints do not.
 func TestQueryWindowMiddleware(t *testing.T) {
-	s, ts, _ := testDiagServer(t, 0)
 	h := metrics.NewWindowed(metrics.DefaultLatencyBuckets, 4)
-	s.SetQueryLatencyWindow(h)
+	_, ts, _ := testDiagServer(t, 0, &Options{QueryWindow: h})
 
 	var q queryResponse
 	getJSON(t, ts.URL+"/query?s=0&t=3", &q)

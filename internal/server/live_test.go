@@ -16,9 +16,6 @@ import (
 	"parapll/internal/compact"
 	"parapll/internal/fileio"
 	"parapll/internal/graph"
-	"parapll/internal/label"
-	"parapll/internal/metrics"
-	"parapll/internal/pathidx"
 	"parapll/internal/sssp"
 )
 
@@ -41,11 +38,7 @@ func liveServer(t *testing.T, compactEvery int) (*httptest.Server, *Server, *com
 	g := graph.FromEdges(6, []graph.Edge{
 		{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 4}, {U: 2, V: 3, W: 5}, {U: 3, V: 4, W: 2},
 	}) // vertex 5 isolated
-	s := NewPending(metrics.NewRegistry())
-	s.SetLoader(func(path string) (*label.Index, *pathidx.Index, error) {
-		i, err := fileio.LoadIndex(path)
-		return i, nil, err
-	})
+	s := NewPending(&Options{Loader: fileLoader})
 	var pipe *compact.Pipeline
 	pipe, err := compact.Open(compact.Options{
 		Dir: t.TempDir(), Graph: g, CompactEvery: compactEvery,

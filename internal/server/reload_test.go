@@ -29,6 +29,13 @@ func lineGraph(n int) *graph.Graph {
 	return graph.FromEdges(n, edges)
 }
 
+// fileLoader is cmd/parapll-server's Loader: read the index file and
+// leave the path index to the carry-over rule.
+func fileLoader(path string) (*label.Index, *pathidx.Index, error) {
+	idx, err := fileio.LoadIndex(path)
+	return idx, nil, err
+}
+
 func saveLineIndex(t *testing.T, dir string, n int, format string) string {
 	t.Helper()
 	x := pll.Build(lineGraph(n), pll.Options{})
@@ -102,11 +109,7 @@ func TestReloadEndpoint(t *testing.T) {
 	small := saveLineIndex(t, dir, 4, label.FormatMmap)
 	big := saveLineIndex(t, dir, 9, label.FormatMmap)
 
-	s := NewPending(nil)
-	s.SetLoader(func(path string) (*label.Index, *pathidx.Index, error) {
-		idx, err := fileio.LoadIndex(path)
-		return idx, nil, err
-	})
+	s := NewPending(&Options{Loader: fileLoader})
 	first, err := fileio.LoadIndex(small)
 	if err != nil {
 		t.Fatal(err)
@@ -161,11 +164,7 @@ func TestReloadPathIndexCarryOver(t *testing.T) {
 	a := saveLineIndex(t, dir, 6, label.FormatMmap)
 	b := saveLineIndex(t, dir, 9, label.FormatMmap)
 
-	s := NewPending(nil)
-	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
-		idx, err := fileio.LoadIndex(p)
-		return idx, nil, err
-	})
+	s := NewPending(&Options{Loader: fileLoader})
 	first, err := fileio.LoadIndex(a)
 	if err != nil {
 		t.Fatal(err)
@@ -204,11 +203,7 @@ func TestReloadPathIndexCarryOver(t *testing.T) {
 func TestReloadBodyTooLarge(t *testing.T) {
 	dir := t.TempDir()
 	path := saveLineIndex(t, dir, 4, label.FormatMmap)
-	s := NewPending(nil)
-	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
-		idx, err := fileio.LoadIndex(p)
-		return idx, nil, err
-	})
+	s := NewPending(&Options{Loader: fileLoader})
 	s.Publish(pll.Build(lineGraph(4), pll.Options{}), nil, path)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
@@ -240,13 +235,11 @@ func TestReloadBusy(t *testing.T) {
 	path := saveLineIndex(t, dir, 4, label.FormatMmap)
 	block := make(chan struct{})
 	entered := make(chan struct{})
-	s := NewPending(nil)
-	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
+	s := NewPending(&Options{Loader: func(p string) (*label.Index, *pathidx.Index, error) {
 		close(entered)
 		<-block
-		idx, err := fileio.LoadIndex(p)
-		return idx, nil, err
-	})
+		return fileLoader(p)
+	}})
 	s.Publish(pll.Build(lineGraph(4), pll.Options{}), nil, path)
 
 	done := make(chan error, 1)
@@ -271,11 +264,7 @@ func TestReloadRebuildsKNN(t *testing.T) {
 	small := saveLineIndex(t, dir, 3, label.FormatMmap)
 	big := saveLineIndex(t, dir, 8, label.FormatMmap)
 
-	s := NewPending(nil)
-	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
-		idx, err := fileio.LoadIndex(p)
-		return idx, nil, err
-	})
+	s := NewPending(&Options{Loader: fileLoader})
 	first, err := fileio.LoadIndex(small)
 	if err != nil {
 		t.Fatal(err)
@@ -320,11 +309,7 @@ func TestHotReloadHammer(t *testing.T) {
 		saveLineIndex(t, dir, 6, label.FormatCompact),
 		saveLineIndex(t, dir, 6, label.FormatMmap),
 	}
-	s := NewPending(nil)
-	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
-		idx, err := fileio.LoadIndex(p)
-		return idx, nil, err
-	})
+	s := NewPending(&Options{Loader: fileLoader})
 	first, err := fileio.LoadIndex(paths[0])
 	if err != nil {
 		t.Fatal(err)

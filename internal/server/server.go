@@ -141,8 +141,8 @@ var _ Updater = (*compact.Pipeline)(nil)
 type Server struct {
 	snap     atomic.Pointer[snapshot]
 	gen      atomic.Uint64
-	loader   atomic.Pointer[Loader] // atomic: SetLoader may race with SIGHUP/`/reload`
-	reloadMu sync.Mutex             // held for the duration of one reload
+	loader   Loader
+	reloadMu sync.Mutex // held for the duration of one reload
 
 	mux        *http.ServeMux
 	reg        *metrics.Registry
@@ -155,13 +155,12 @@ type Server struct {
 	cache *qcache.Cache
 	// batchThreads caps the fan-out of one /batch request so a single
 	// large batch cannot monopolize every core against other requests.
-	batchThreads atomic.Int32
+	batchThreads int
 
 	// Request tracing: sampled request spans land in per-lane ring
 	// buffers (lane = round-robin over requestLanes tids) so concurrent
-	// requests never contend on one ring. nil tracer = tracing off; the
-	// per-request cost is then a single atomic load.
-	tracer    atomic.Pointer[trace.Tracer]
+	// requests never contend on one ring. nil tracer = tracing off.
+	tracer    *trace.Tracer
 	traceLane atomic.Uint64
 	captureMu sync.Mutex // serializes /debug/trace live captures
 	slow      *SlowLog
@@ -176,15 +175,12 @@ type Server struct {
 	compactGen  *metrics.Gauge
 	lastCompact *metrics.Gauge
 
-	// Diagnostics seams, installed by cmd/parapll-server: the flight
-	// recorder behind /debug/bundle (and the automatic dump when a
-	// handler panics), the watchdog behind /debug/health, and the
-	// windowed query-latency histogram the watchdog's p99 rule evaluates
-	// (fed by the /query and /batch middleware; the watchdog owns its
-	// rotation). All atomic so they can be armed after traffic starts.
-	flightRec   atomic.Pointer[flight.Recorder]
-	watchdog    atomic.Pointer[flight.Watchdog]
-	queryWindow atomic.Pointer[metrics.WindowedHistogram]
+	// Diagnostics (see Options): the recorder behind /debug/bundle and
+	// the panic dump, the watchdog behind /debug/health, and the window
+	// the /query and /batch middleware feeds for its p99 rule.
+	flightRec   *flight.Recorder
+	watchdog    *flight.Watchdog
+	queryWindow *metrics.WindowedHistogram
 
 	// reloadFailures counts failed reloads (HTTP and SIGHUP alike) — the
 	// watchdog's reload-failure rule watches its per-window delta.
@@ -202,37 +198,79 @@ const (
 	defaultSlowThreshold = 100 * time.Millisecond
 )
 
-// New builds the handler with its own metrics registry and the given
-// in-memory serving state. pidx may be nil to disable /path.
-func New(idx *label.Index, pidx *pathidx.Index) *Server {
-	return NewWithRegistry(idx, pidx, metrics.NewRegistry())
-}
-
-// NewWithRegistry builds the handler recording into reg, letting the
-// embedding process (cmd/parapll-server) share one registry between the
-// HTTP layer and anything else it instruments.
-func NewWithRegistry(idx *label.Index, pidx *pathidx.Index, reg *metrics.Registry) *Server {
-	s := NewPending(reg)
-	s.Publish(idx, pidx, "")
-	return s
+// Options configures a Server at construction. Every field is
+// optional, and none changes after NewPending returns: only the index
+// snapshot is swapped at runtime.
+type Options struct {
+	// Registry records the server's metrics; nil means a fresh one.
+	// cmd/parapll-server shares it with the flight recorder and watchdog.
+	Registry *metrics.Registry
+	// Loader loads index files for Reload; nil makes Reload (and POST
+	// /reload, SIGHUP) fail with ErrNoLoader.
+	Loader Loader
+	// BatchThreads caps the goroutine fan-out of one /batch request;
+	// <= 0 means min(4, GOMAXPROCS).
+	BatchThreads int
+	// Tracer records sampled request spans (and the distance cache's
+	// spans) and backs GET /debug/trace; nil turns tracing off and makes
+	// /debug/trace answer 412.
+	Tracer *trace.Tracer
+	// Flight is the recorder behind GET /debug/bundle; a handler panic
+	// also dumps a bundle before the 500 goes out. nil makes
+	// /debug/bundle answer 412.
+	Flight *flight.Recorder
+	// Watchdog backs GET /debug/health; the caller owns its lifecycle
+	// (Start/Stop) and the server only reads verdicts. nil makes
+	// /debug/health answer 412.
+	Watchdog *flight.Watchdog
+	// QueryWindow receives every /query and /batch latency in
+	// microseconds. Pass the same histogram to the watchdog's latency
+	// rule: the middleware only observes, the watchdog rotates and judges.
+	QueryWindow *metrics.WindowedHistogram
 }
 
 // NewPending builds a handler with no index yet: /readyz (and every
 // query endpoint) answers 503 until Publish installs the first
 // snapshot. This lets the listener come up immediately while the index
 // loads or builds in the background, so orchestrators can probe
-// readiness instead of timing out on connect. reg may be nil.
-func NewPending(reg *metrics.Registry) *Server {
+// readiness instead of timing out on connect. opts may be nil for the
+// defaults.
+func NewPending(opts *Options) *Server {
+	var o Options
+	if opts != nil {
+		o = *opts
+	}
+	reg := o.Registry
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	s := &Server{mux: http.NewServeMux(), reg: reg}
-	s.batchThreads.Store(int32(defaultBatchThreads()))
-	s.slow = NewSlowLog(defaultSlowCapacity, defaultSlowThreshold)
-	s.inflight = reg.Gauge("http.inflight")
-	s.generation = reg.Gauge("index.generation")
-	s.reloadFailures = reg.Counter("reload.failures_total")
-	s.panics = reg.Counter("http.panics_total")
+	s := &Server{
+		loader:         o.Loader,
+		mux:            http.NewServeMux(),
+		reg:            reg,
+		inflight:       reg.Gauge("http.inflight"),
+		generation:     reg.Gauge("index.generation"),
+		batchThreads:   o.BatchThreads,
+		tracer:         o.Tracer,
+		slow:           NewSlowLog(defaultSlowCapacity, defaultSlowThreshold),
+		flightRec:      o.Flight,
+		watchdog:       o.Watchdog,
+		queryWindow:    o.QueryWindow,
+		reloadFailures: reg.Counter("reload.failures_total"),
+		panics:         reg.Counter("http.panics_total"),
+	}
+	if s.batchThreads <= 0 {
+		s.batchThreads = defaultBatchThreads()
+	}
+	if tr := s.tracer; tr != nil {
+		tr.SetProcessName("parapll-server")
+		tr.SetThreadName(trace.TIDCache, "qcache")
+		tr.SetThreadName(trace.TIDWAL, "wal")
+		tr.SetThreadName(trace.TIDCompact, "compactor")
+		for i := 0; i < requestLanes; i++ {
+			tr.SetThreadName(trace.TIDRequestBase+i, fmt.Sprintf("http lane %d", i))
+		}
+	}
 	s.handleSnap("/query", http.MethodGet, s.handleQuery)
 	s.handleSnap("/batch", http.MethodPost, s.handleBatch)
 	s.handleSnap("/path", http.MethodGet, s.handlePath)
@@ -251,50 +289,10 @@ func NewPending(reg *metrics.Registry) *Server {
 	return s
 }
 
-// SetFlight installs (or removes, with nil) the flight recorder behind
-// GET /debug/bundle; once set, a handler panic also dumps a bundle
-// before the 500 goes out. Safe to call concurrently with traffic.
-func (s *Server) SetFlight(rec *flight.Recorder) { s.flightRec.Store(rec) }
-
-// Flight returns the installed flight recorder (nil if none).
-func (s *Server) Flight() *flight.Recorder { return s.flightRec.Load() }
-
-// SetWatchdog installs the anomaly watchdog behind GET /debug/health.
-// The caller owns its lifecycle (Start/Stop); the server only reads
-// verdicts. Safe to call concurrently with traffic.
-func (s *Server) SetWatchdog(w *flight.Watchdog) { s.watchdog.Store(w) }
-
-// Watchdog returns the installed watchdog (nil if none).
-func (s *Server) Watchdog() *flight.Watchdog { return s.watchdog.Load() }
-
-// SetQueryLatencyWindow points the /query and /batch middleware at a
-// windowed histogram (microseconds). Pass the same histogram to the
-// watchdog's latency rule: the middleware only observes, the watchdog
-// rotates and judges.
-func (s *Server) SetQueryLatencyWindow(h *metrics.WindowedHistogram) {
-	s.queryWindow.Store(h)
-}
-
 // ReloadFailures returns the counter behind the watchdog's
 // reload-failure rule, so cmd/parapll-server can register the rule on
 // the exact counter the serve path increments.
 func (s *Server) ReloadFailures() *metrics.Counter { return s.reloadFailures }
-
-// SetTracer installs (or, with nil, removes) the tracer behind sampled
-// request spans and GET /debug/trace. Wired from the -trace-sample flag
-// by cmd/parapll-server; safe to call concurrently with traffic.
-func (s *Server) SetTracer(tr *trace.Tracer) {
-	if tr != nil {
-		tr.SetProcessName("parapll-server")
-		tr.SetThreadName(trace.TIDCache, "qcache")
-		tr.SetThreadName(trace.TIDWAL, "wal")
-		tr.SetThreadName(trace.TIDCompact, "compactor")
-		for i := 0; i < requestLanes; i++ {
-			tr.SetThreadName(trace.TIDRequestBase+i, fmt.Sprintf("http lane %d", i))
-		}
-	}
-	s.tracer.Store(tr)
-}
 
 // defaultBatchThreads is the /batch fan-out when no -batch-threads flag
 // overrides it: up to 4 goroutines, but never more than the machine
@@ -311,18 +309,8 @@ func defaultBatchThreads() int {
 	return n
 }
 
-// SetBatchThreads sets the per-/batch-request fan-out; n <= 0 restores
-// the default min(4, GOMAXPROCS). Safe to call concurrently with
-// traffic.
-func (s *Server) SetBatchThreads(n int) {
-	if n <= 0 {
-		n = defaultBatchThreads()
-	}
-	s.batchThreads.Store(int32(n))
-}
-
-// BatchThreads returns the current per-request /batch fan-out.
-func (s *Server) BatchThreads() int { return int(s.batchThreads.Load()) }
+// BatchThreads returns the per-request /batch fan-out.
+func (s *Server) BatchThreads() int { return s.batchThreads }
 
 // SetCacheEntries bounds the (s,t) distance cache fronting every
 // snapshot published afterwards; entries <= 0 disables caching. Hit,
@@ -386,15 +374,9 @@ func (s *Server) refreshUpdaterGauges() *compact.Stats {
 	return &st
 }
 
-// Tracer returns the installed tracer (nil if none).
-func (s *Server) Tracer() *trace.Tracer { return s.tracer.Load() }
-
 // SlowQueries returns the slow-request log exposed at /debug/slow, so
 // the embedding process can tune its threshold (-slow-ms).
 func (s *Server) SlowQueries() *SlowLog { return s.slow }
-
-// Registry returns the registry this server records into.
-func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // Generation returns the current snapshot's generation (0 = none yet).
 func (s *Server) Generation() uint64 {
@@ -403,12 +385,6 @@ func (s *Server) Generation() uint64 {
 	}
 	return 0
 }
-
-// SetLoader configures how Reload loads index files. Typically wired to
-// fileio.LoadIndex by cmd/parapll-server when started with -index. Safe
-// to call concurrently with in-flight reloads; a reload already past
-// its loader lookup finishes with the loader it picked up.
-func (s *Server) SetLoader(l Loader) { s.loader.Store(&l) }
 
 // Publish atomically swaps in new serving state and returns its
 // generation. In-flight requests keep the snapshot they started with;
@@ -437,7 +413,7 @@ func (s *Server) publish(idx *label.Index, pidx *pathidx.Index, source string) *
 		// reload can never serve distances from the previous graph.
 		ora = qcache.Wrap(idx, s.cache, gen, qcache.Options{
 			Symmetric: true,
-			Tracer:    s.tracer.Load,
+			Tracer:    s.tracer,
 		})
 	}
 	sn := &snapshot{
@@ -482,16 +458,15 @@ func (s *Server) reload(path string) (*snapshot, error) {
 		// everything else feeds the watchdog's reload-failure rule and
 		// the flight recorder's error ring.
 		s.reloadFailures.Inc()
-		if rec := s.flightRec.Load(); rec != nil {
-			rec.RecordError("reload", err)
+		if s.flightRec != nil {
+			s.flightRec.RecordError("reload", err)
 		}
 	}
 	return sn, err
 }
 
 func (s *Server) reloadInner(path string) (*snapshot, error) {
-	lp := s.loader.Load()
-	if lp == nil || *lp == nil {
+	if s.loader == nil {
 		return nil, ErrNoLoader
 	}
 	if !s.reloadMu.TryLock() {
@@ -505,7 +480,7 @@ func (s *Server) reloadInner(path string) (*snapshot, error) {
 	if path == "" {
 		return nil, fmt.Errorf("server: no index path to reload (served index was built in memory)")
 	}
-	idx, pidx, err := (*lp)(path)
+	idx, pidx, err := s.loader(path)
 	if err != nil {
 		return nil, fmt.Errorf("server: reloading %s: %w", path, err)
 	}
@@ -581,10 +556,8 @@ func (s *Server) handle(path, method string, h http.HandlerFunc) {
 		}
 		elapsed := time.Since(start)
 		latency.Observe(elapsed.Microseconds())
-		if windowed {
-			if qw := s.queryWindow.Load(); qw != nil {
-				qw.Observe(elapsed.Microseconds())
-			}
+		if windowed && s.queryWindow != nil {
+			s.queryWindow.Observe(elapsed.Microseconds())
 		}
 		if sw.status >= 400 {
 			errorsC.Inc()
@@ -594,7 +567,7 @@ func (s *Server) handle(path, method string, h http.HandlerFunc) {
 			status = http.StatusOK // handler wrote the body without WriteHeader
 		}
 		s.slow.Observe(r.Method, path, r.URL.RawQuery, status, sw.gen, sw.cache, start, elapsed)
-		if tr := s.tracer.Load(); tr.Sample() {
+		if tr := s.tracer; tr.Sample() {
 			lane := trace.TIDRequestBase + int(s.traceLane.Add(1)%requestLanes)
 			id := tr.Intern(spanName, "status")
 			t1 := tr.At(start)
@@ -616,8 +589,8 @@ func (s *Server) invoke(h http.HandlerFunc, sw *statusWriter, r *http.Request, s
 			return
 		}
 		s.panics.Inc()
-		if rec := s.flightRec.Load(); rec != nil {
-			rec.TriggerPanic(spanName, p)
+		if s.flightRec != nil {
+			s.flightRec.TriggerPanic(spanName, p)
 		}
 		writeErr(sw, http.StatusInternalServerError, fmt.Errorf("internal panic: %v", p))
 	}()
@@ -751,7 +724,7 @@ func (s *Server) handleBatch(sn *snapshot, w http.ResponseWriter, r *http.Reques
 			return
 		}
 	}
-	dists := sn.ora.QueryBatch(*pairs, int(s.batchThreads.Load()))
+	dists := sn.ora.QueryBatch(*pairs, s.batchThreads)
 	// The body is decoded, so its buffer takes the reply.
 	*buf = appendBatchReply((*buf)[:0], dists)
 	writeWire(w, *buf)
@@ -1055,7 +1028,7 @@ const maxCaptureSec = 60.0
 // JSON and restore the tracer's previous state. One capture at a time;
 // a concurrent request gets 409.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	tr := s.tracer.Load()
+	tr := s.tracer
 	if tr == nil {
 		writeErr(w, http.StatusPreconditionFailed,
 			errors.New("no tracer configured (start the server with -trace-sample)"))
@@ -1154,13 +1127,12 @@ func (s *Server) handleDebugExplain(sn *snapshot, w http.ResponseWriter, r *http
 // handleDebugHealth serves GET /debug/health: every SLO rule's current
 // verdict. 412 until cmd/parapll-server arms the watchdog (-slo-*).
 func (s *Server) handleDebugHealth(w http.ResponseWriter, r *http.Request) {
-	wd := s.watchdog.Load()
-	if wd == nil {
+	if s.watchdog == nil {
 		writeErr(w, http.StatusPreconditionFailed,
 			errors.New("no watchdog configured (start the server with -slo-window-ms)"))
 		return
 	}
-	writeJSON(w, http.StatusOK, wd.Health())
+	writeJSON(w, http.StatusOK, s.watchdog.Health())
 }
 
 // handleDebugBundle serves GET /debug/bundle: trigger an on-demand
@@ -1168,13 +1140,12 @@ func (s *Server) handleDebugHealth(w http.ResponseWriter, r *http.Request) {
 // bundle back; the same bytes also land in the on-disk spool. 412 until
 // cmd/parapll-server arms the recorder (-flight).
 func (s *Server) handleDebugBundle(w http.ResponseWriter, r *http.Request) {
-	rec := s.flightRec.Load()
-	if rec == nil {
+	if s.flightRec == nil {
 		writeErr(w, http.StatusPreconditionFailed,
 			errors.New("no flight recorder configured (start the server with -flight)"))
 		return
 	}
-	path, err := rec.Trigger("http")
+	path, err := s.flightRec.Trigger("http")
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return

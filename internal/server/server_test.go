@@ -26,7 +26,9 @@ func testServer(t *testing.T, withPath bool) (*httptest.Server, *graph.Graph) {
 	if withPath {
 		pidx = pathidx.Build(g, pathidx.Options{Threads: 1})
 	}
-	ts := httptest.NewServer(New(idx, pidx))
+	s := NewPending(nil)
+	s.Publish(idx, pidx, "")
+	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return ts, g
 }

@@ -64,7 +64,7 @@ func TestSlowLogBoundsAndOrdering(t *testing.T) {
 // TestDebugSlowEndpoint: slow requests surface at GET /debug/slow with
 // method, path, query, status, and duration.
 func TestDebugSlowEndpoint(t *testing.T) {
-	g := testGraphServer(t)
+	g := testGraphServer(t, nil)
 	g.srv.SlowQueries().SetThreshold(time.Nanosecond) // everything is slow
 	var q queryResponse
 	if code := getJSON(t, g.ts.URL+"/query?s=0&t=3", &q); code != 200 {
@@ -113,22 +113,20 @@ type graphServer struct {
 	ts  *httptest.Server
 }
 
-func testGraphServer(t *testing.T) graphServer {
+func testGraphServer(t *testing.T, opts *Options) graphServer {
 	t.Helper()
-	ts, _ := testServer(t, false)
-	// testServer wraps the handler; recover the *Server through the
-	// handler it registered.
-	srv := ts.Config.Handler.(*Server)
+	srv, _ := wireServer(t, opts)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
 	return graphServer{srv: srv, ts: ts}
 }
 
 // TestRequestSpansSampled: with a tracer installed and sampling 1-in-1,
 // every request lands one span in a request lane with its status word.
 func TestRequestSpansSampled(t *testing.T) {
-	g := testGraphServer(t)
 	tr := trace.New(7, 1<<10)
 	tr.Enable()
-	g.srv.SetTracer(tr)
+	g := testGraphServer(t, &Options{Tracer: tr})
 	const reqs = 20
 	for i := 0; i < reqs; i++ {
 		var q queryResponse
@@ -163,11 +161,10 @@ func TestRequestSpansSampled(t *testing.T) {
 // TestRequestSampling: 1-in-4 sampling records exactly a quarter of a
 // request stream (the sampler is a deterministic modulo counter).
 func TestRequestSampling(t *testing.T) {
-	g := testGraphServer(t)
 	tr := trace.New(0, 1<<10)
 	tr.Enable()
 	tr.SetSample(4)
-	g.srv.SetTracer(tr)
+	g := testGraphServer(t, &Options{Tracer: tr})
 	const reqs = 40
 	for i := 0; i < reqs; i++ {
 		var q queryResponse
@@ -184,20 +181,18 @@ func TestRequestSampling(t *testing.T) {
 	}
 }
 
-// TestDebugTraceEndpoint: the live-capture endpoint validates input,
-// runs one capture at a time, returns a valid Chrome trace containing
-// the traffic that ran during the window, and restores the tracer's
-// previous enabled state.
+// TestDebugTraceEndpoint: without a tracer the live-capture endpoint
+// answers 412; with one it validates input, runs one capture at a time,
+// returns a valid Chrome trace containing the traffic that ran during
+// the window, and restores the tracer's previous enabled state.
 func TestDebugTraceEndpoint(t *testing.T) {
-	g := testGraphServer(t)
-
-	// No tracer configured: 412.
-	if code := getJSON(t, g.ts.URL+"/debug/trace", new(map[string]string)); code != http.StatusPreconditionFailed {
+	bare := testGraphServer(t, nil)
+	if code := getJSON(t, bare.ts.URL+"/debug/trace", new(map[string]string)); code != http.StatusPreconditionFailed {
 		t.Fatalf("no-tracer status %d, want 412", code)
 	}
 
 	tr := trace.New(0, 1<<12) // disabled: /debug/trace must enable and restore
-	g.srv.SetTracer(tr)
+	g := testGraphServer(t, &Options{Tracer: tr})
 
 	// "nan" is the trap case: ParseFloat accepts it and NaN slips past a
 	// naive `v <= 0` check into an unbounded capture sleep.
@@ -274,7 +269,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 // TestMetricsContentNegotiation: /metrics answers JSON by default and
 // the Prometheus text exposition when the scraper asks for text/plain.
 func TestMetricsContentNegotiation(t *testing.T) {
-	g := testGraphServer(t)
+	g := testGraphServer(t, nil)
 	var q queryResponse
 	getJSON(t, g.ts.URL+"/query?s=0&t=3", &q)
 

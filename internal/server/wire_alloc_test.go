@@ -40,8 +40,7 @@ func (w *discardWriter) serve(t *testing.T, h http.Handler, req *http.Request) {
 // stays within 4 allocations, and /batch allocations do not grow with
 // the number of pairs.
 func TestWireAllocs(t *testing.T) {
-	srv, _ := wireServer(t)
-	srv.SetBatchThreads(1) // both batch sizes take the kernel's inline path
+	srv, _ := wireServer(t, &Options{BatchThreads: 1}) // both batch sizes take the kernel's inline path
 	w := &discardWriter{h: http.Header{}}
 
 	query := httptest.NewRequest(http.MethodGet, "/query?s=0&t=3", nil)
@@ -81,7 +80,7 @@ func TestWireAllocs(t *testing.T) {
 // claims: a short body announced as the full 8 MiB limit must not make
 // the server allocate the claimed size.
 func TestBatchBodyIgnoresClaimedLength(t *testing.T) {
-	srv, _ := wireServer(t)
+	srv, _ := wireServer(t, nil)
 	w := &discardWriter{h: http.Header{}}
 	body := []byte(`{"pairs":[[0,3]]}`)
 	rd := bytes.NewReader(body)

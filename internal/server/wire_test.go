@@ -15,13 +15,16 @@ import (
 	"parapll/internal/sssp"
 )
 
-// wireServer is testServer's graph behind an in-process handler.
-func wireServer(t testing.TB) (*Server, *graph.Graph) {
+// wireServer is testServer's graph behind an in-process handler built
+// with opts.
+func wireServer(t testing.TB, opts *Options) (*Server, *graph.Graph) {
 	t.Helper()
 	g := graph.FromEdges(5, []graph.Edge{
 		{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 4}, {U: 2, V: 3, W: 5},
 	}) // vertex 4 isolated
-	return New(pll.Build(g, pll.Options{}), nil), g
+	s := NewPending(opts)
+	s.Publish(pll.Build(g, pll.Options{}), nil, "")
+	return s, g
 }
 
 // encodeRef is the reply encoding the codec must reproduce byte for byte.
@@ -42,7 +45,7 @@ func refDist(g *graph.Graph, s, t graph.Vertex) int64 {
 // ServeHTTP and compares them with json.Encoder's output for the
 // response structs.
 func TestWireRepliesMatchEncoder(t *testing.T) {
-	srv, g := wireServer(t)
+	srv, g := wireServer(t, nil)
 	serve := func(req *http.Request) string {
 		t.Helper()
 		rec := httptest.NewRecorder()
@@ -86,7 +89,7 @@ func itoa(v graph.Vertex) string { return strconv.Itoa(int(v)) }
 // TestWirePoolCap checks that a near-limit batch leaves no oversized
 // buffer behind in the codec's pools, and that putWire drops them.
 func TestWirePoolCap(t *testing.T) {
-	srv, _ := wireServer(t)
+	srv, _ := wireServer(t, nil)
 	// maxBatch pairs, padded so the body (and so its buffer) is past
 	// the pool cap.
 	body := append([]byte(`{"pairs":[`), bytes.Repeat([]byte("[0, 1]          ,"), maxBatch-1)...)
@@ -119,7 +122,7 @@ func TestWirePoolCap(t *testing.T) {
 // TestWireConcurrentBatches runs /batch requests of different sizes on
 // many goroutines so the race detector sees pooled buffers change hands.
 func TestWireConcurrentBatches(t *testing.T) {
-	srv, g := wireServer(t)
+	srv, g := wireServer(t, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -114,26 +114,26 @@ go run ./cmd/parapll-trace check "$tracedir/build.json"
 # Opt-in: sync-pipeline benchmark (writes BENCH_sync.json). Slowish, so
 # off by default; enable with SYNC_BENCH=1 scripts/check.sh
 if [ "${SYNC_BENCH:-0}" = "1" ]; then
-    echo "== scripts/bench_sync.sh"
-    scripts/bench_sync.sh
+    echo "== scripts/bench.sh sync"
+    scripts/bench.sh sync
 fi
 
 # Opt-in: tracing-overhead benchmark (writes BENCH_trace.json); enable
 # with TRACE_BENCH=1 scripts/check.sh
 if [ "${TRACE_BENCH:-0}" = "1" ]; then
-    echo "== scripts/bench_trace.sh"
-    scripts/bench_trace.sh
+    echo "== scripts/bench.sh trace"
+    scripts/bench.sh trace
 fi
 
 # Opt-in: serving hot-path benchmark (writes BENCH_serve.json); enable
 # with SERVE_BENCH=1 scripts/check.sh. The small-scale run doubles as a
 # correctness smoke: the bench itself fails if the merge kernel's batch
 # output diverges from the pre-kernel baseline. (Timing-quality runs
-# use the script's own larger default scale; here the small scale keeps
+# use the experiment's own larger default scale; here the small scale keeps
 # the check fast.)
 if [ "${SERVE_BENCH:-0}" = "1" ]; then
-    echo "== scripts/bench_serve.sh"
-    SCALE="${SCALE:-0.02}" scripts/bench_serve.sh
+    echo "== scripts/bench.sh serve"
+    SCALE="${SCALE:-0.02}" scripts/bench.sh serve
 fi
 
 # Build-engine smoke: a tiny-scale run of the build benchmark, whose
@@ -143,21 +143,21 @@ fi
 # changes via the opt-in below.
 echo "== build-engine smoke (cross-engine equivalence at tiny scale)"
 SCALE=0.02 DATASETS=Wiki-Vote OUT="$tracedir/BENCH_build_smoke.json" \
-    scripts/bench_build.sh >/dev/null
+    scripts/bench.sh build >/dev/null
 
 # Opt-in: full build-engine benchmark (writes BENCH_build.json); enable
 # with BUILD_BENCH=1 scripts/check.sh
 if [ "${BUILD_BENCH:-0}" = "1" ]; then
-    echo "== scripts/bench_build.sh"
-    scripts/bench_build.sh
+    echo "== scripts/bench.sh build"
+    scripts/bench.sh build
 fi
 
 # Opt-in: living-graph update benchmark (writes BENCH_update.json) —
 # durable insert throughput, WAL replay, fold/rebuild compaction walls
 # and publish windows; enable with UPDATE_BENCH=1 scripts/check.sh
 if [ "${UPDATE_BENCH:-0}" = "1" ]; then
-    echo "== scripts/bench_update.sh"
-    scripts/bench_update.sh
+    echo "== scripts/bench.sh update"
+    scripts/bench.sh update
 fi
 
 echo "all checks passed"
